@@ -14,7 +14,6 @@ Ensemble members reseed via derive_seed(master, run_index), so results are
 identical whether runs execute serially or on a thread pool.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Tuple
@@ -99,6 +98,11 @@ def _intro_count(config: SimulationConfig) -> int:
     if config.mode != "fashion":
         return 0
     return (config.rounds - 1) // config.params.intro_period
+
+
+def _final_item_count(config: SimulationConfig) -> int:
+    """Catalog plus every item introduced over a full run."""
+    return config.m_initial + config.params.intro_batch * _intro_count(config)
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ def init_market(config: SimulationConfig,
     liking = rng.random((n, m))
     tolerance = 1.0 - rng.random(n)  # flip [0,1) to (0,1]
     ads = np.full(m, config.params.catalog_ads, dtype=np.float64)
-    capacity = m + config.params.intro_batch * _intro_count(config)
+    capacity = _final_item_count(config)
     return MarketState(
         params=config.params,
         graph=graph,
@@ -247,15 +251,15 @@ def _round_penalties(state: MarketState) -> np.ndarray:
     return pen
 
 
-def step(state: MarketState, rng: Optional[np.random.Generator] = None,
-         decide=None) -> Tuple[ConsumptionEvent, ...]:
+def step(state: MarketState, decide=None) -> np.ndarray:
     """Advance one synchronous round; returns the committed events.
 
-    rng is accepted for signature symmetry but unused: given the state,
-    a round is fully deterministic. decide overrides the scoring backend
+    The result is an (events, 2) int64 array of (agent, item) rows in
+    ascending agent order; the round they belong to is the new state.round.
+    All of the round's consumptions are written by one
+    MarketState.commit_round call. decide overrides the scoring backend
     (tests compare backends through this hook).
     """
-    del rng
     if decide is None:
         decide = kernel.decide_round
     p = state.params
@@ -264,7 +268,7 @@ def step(state: MarketState, rng: Optional[np.random.Generator] = None,
     round_label = state.round + 1
     if m == 0:
         state.round = round_label
-        return ()
+        return np.empty((0, 2), dtype=np.int64)
 
     if state.mode == "fashion":
         ads = state.advertisement
@@ -284,14 +288,11 @@ def step(state: MarketState, rng: Optional[np.random.Generator] = None,
         p.gamma, blend_liking, m, min_utility, has_min, choices,
     )
 
-    consumers = np.flatnonzero(choices >= 0)
-    events = []
-    for i in consumers:
-        a = int(choices[i])
-        state.apply_consumption(int(i), a, round_label)
-        events.append(ConsumptionEvent(int(i), a, round_label))
+    agents = np.flatnonzero(choices >= 0)
+    items = choices[agents]
+    state.commit_round(agents, items, round_label)
     state.round = round_label
-    return tuple(events)
+    return np.column_stack((agents, items))
 
 
 def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
@@ -306,7 +307,7 @@ def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
     state = init_market(config, rng)
     p = config.params
     R = config.rounds
-    m_final = config.m_initial + p.intro_batch * _intro_count(config)
+    m_final = _final_item_count(config)
 
     counts_hist = np.zeros((R, m_final), dtype=np.int64)
     ev_agents = []
@@ -317,10 +318,8 @@ def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
             introduce_items(state, rng)
         events = step(state, decide=decide)
         counts_hist[t, :state.m] = state.counts[:state.m]
-        ev_agents.append(np.fromiter((e.agent for e in events), dtype=np.int64,
-                                     count=len(events)))
-        ev_items.append(np.fromiter((e.item for e in events), dtype=np.int64,
-                                    count=len(events)))
+        ev_agents.append(events[:, 0])
+        ev_items.append(events[:, 1])
 
     if state.m != m_final:
         raise AssertionError("introduction schedule drifted from plan")
@@ -341,50 +340,61 @@ def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
     )
 
 
-def run_ensemble(config: SimulationConfig, runs: int,
-                 jobs: Optional[int] = None,
+def _common_registry(registries) -> Tuple[np.ndarray, ...]:
+    """First run's (rounds, item_ids, advertisements, intro_rounds); every
+    later run must match it."""
+    first = None
+    for reg in registries:
+        if first is None:
+            first = reg
+        elif not all(np.array_equal(a, b) for a, b in zip(reg, first)):
+            raise AssertionError("item registry diverged between ensemble runs")
+    return first
+
+
+def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1,
                  backend: Optional[str] = None) -> EnsembleResult:
     """Aggregate `runs` independent runs; run i is seeded by
     derive_seed(config.seed, i).
 
-    jobs caps the worker threads (None: one per available CPU). Results are
+    jobs caps the worker threads; the default, 1, runs everything in the
+    calling thread. Each run's shares go into one preallocated
+    (runs, R, M) array as the run finishes and its trace is dropped, so
+    memory stays O(runs * R * M) whatever the event count. Results are
     accumulated by run index, so the worker count never changes the output.
     """
     if runs < 1:
         raise ValueError("runs: need at least 1 (got %d)" % runs)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError("jobs: need at least 1 (got %d)" % jobs)
+    m_final = _final_item_count(config)
+    shares = np.empty((runs, config.rounds, m_final), dtype=np.float64)
+    quality = np.empty((runs, m_final), dtype=np.float64)
 
-    def one(run_idx: int) -> Trace:
+    def one(run_idx: int) -> Tuple[np.ndarray, ...]:
         cfg = replace(config, seed=derive_seed(config.seed, run_idx))
-        return run(cfg, backend=backend)
+        tr = run(cfg, backend=backend)
+        shares[run_idx] = tr.shares
+        quality[run_idx] = tr.quality
+        return tr.rounds, tr.item_ids, tr.advertisements, tr.intro_rounds
 
     if jobs == 1 or runs == 1:
-        traces = [one(i) for i in range(runs)]
+        registry = _common_registry(map(one, range(runs)))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(one, range(runs)))
+            registry = _common_registry(pool.map(one, range(runs)))
+    rounds, item_ids, advertisements, intro_rounds = registry
 
-    first = traces[0]
-    for tr in traces[1:]:
-        if (tr.n_items != first.n_items
-                or not np.array_equal(tr.advertisements, first.advertisements)
-                or not np.array_equal(tr.intro_rounds, first.intro_rounds)):
-            raise AssertionError("item registry diverged between ensemble runs")
-
-    stacked = np.stack([tr.shares for tr in traces])  # (runs, R, M)
     return EnsembleResult(
         config=config,
         runs=runs,
-        rounds=first.rounds,
-        item_ids=first.item_ids,
-        advertisements=first.advertisements,
-        intro_rounds=first.intro_rounds,
-        mean_share=stacked.mean(axis=0),
-        std_share=stacked.std(axis=0),
-        per_run_final_share=stacked[:, -1, :].copy(),
-        per_run_integrated_share=stacked.sum(axis=1),
-        per_run_quality=np.stack([tr.quality for tr in traces]),
+        rounds=rounds,
+        item_ids=item_ids,
+        advertisements=advertisements,
+        intro_rounds=intro_rounds,
+        mean_share=shares.mean(axis=0),
+        std_share=shares.std(axis=0),
+        per_run_final_share=shares[:, -1, :].copy(),
+        per_run_integrated_share=shares.sum(axis=1),
+        per_run_quality=quality,
     )

@@ -133,9 +133,10 @@ class MarketState:
     introduced items can be told apart.
 
     ``counts`` and ``nbr_counts`` are running caches (total consumers per
-    item; per-agent count of neighbors who consumed each item). They are
-    updated by ``apply_consumption`` and must stay consistent with the
-    ``consumed`` matrix.
+    item; per-agent count of neighbors who consumed each item). The engine
+    updates them once per round with ``commit_round``; ``apply_consumption``
+    is the scalar one-event form that tests replay as the reference. Both
+    keep them consistent with the ``consumed`` matrix.
     """
 
     __slots__ = (
@@ -261,6 +262,46 @@ class MarketState:
         self.counts[a] += 1
         nbrs = self.graph.neighbor_array(i)
         self.nbr_counts[nbrs, a] += 1
+
+    def commit_round(self, agents: np.ndarray, items: np.ndarray, round_no: int) -> None:
+        """Commit one round's consumptions together: agents[k] consumed items[k].
+
+        Agents must be strictly ascending (one consumption per agent per
+        round). Every cache update is an integer add or store, so the result
+        equals applying each pair with ``apply_consumption``, in any order.
+        The whole batch is validated before anything is written.
+        """
+        agents = np.asarray(agents, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if agents.ndim != 1 or agents.shape != items.shape:
+            raise ValueError("agents, items: expected two 1-d arrays of equal length")
+        if len(agents) == 0:
+            return
+        if agents[0] < 0 or agents[-1] >= self.n_agents or np.any(agents[1:] <= agents[:-1]):
+            raise ValueError("agents: expected strictly ascending ids in [0, %d)"
+                             % self.n_agents)
+        if items.min() < 0 or items.max() >= self.m:
+            raise ValueError("items: ids must be in [0, %d)" % self.m)
+        seen = self.consumed[agents, items] != 0
+        if seen.any():
+            k = int(np.argmax(seen))
+            raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
+
+        self.consumed[agents, items] = 1
+        self.consumed_round[agents, items] = round_no
+        cap = self.counts.shape[0]
+        self.counts += np.bincount(items, minlength=cap)
+        # Neighbour rows of the consumers, gathered from the CSR arrays, and
+        # each consumer's item repeated once per neighbour.
+        offsets = self.graph.offsets
+        starts = offsets[agents]
+        lens = offsets[agents + 1] - starts
+        ends = np.cumsum(lens)
+        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        targets = self.graph.targets[pos]
+        # nbr_counts is allocated C-contiguous (here and in _grow), so the
+        # reshape is a view and the flat scatter lands in it.
+        np.add.at(self.nbr_counts.reshape(-1), targets * cap + np.repeat(items, lens), 1)
 
     def append_items(
         self,

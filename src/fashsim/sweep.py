@@ -103,9 +103,12 @@ class SweepResult:
         raise ValueError("no sweep point for value %r" % (value,))
 
 
-def sweep(spec: SweepSpec, jobs: Optional[int] = None,
+def sweep(spec: SweepSpec, jobs: int = 1,
           backend: Optional[str] = None) -> SweepResult:
-    """Run the ensemble at every grid value, in grid order."""
+    """Run the ensemble at every grid value, in grid order.
+
+    jobs caps each ensemble's worker threads (default 1, no thread pool).
+    """
     points = []
     for idx, value in enumerate(spec.grid):
         seed = derive_seed(spec.base.seed, idx)
@@ -152,7 +155,7 @@ def optimize_advertisement(
     grid: Tuple[float, ...],
     objective: str = "final_share",
     runs: int = 100,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     backend: Optional[str] = None,
 ) -> OptimizeResult:
     """Pick the tracked item's best advertisement level off a grid.
@@ -160,7 +163,8 @@ def optimize_advertisement(
     objective "final_share" scores each grid value by the tracked item's
     mean final share; "integrated_share" by its share summed over all
     recorded rounds. A* is the pure argmax of the emitted table, ties
-    resolved toward the smallest advertisement value.
+    resolved toward the smallest advertisement value. jobs caps each
+    ensemble's worker threads (default 1, no thread pool).
     """
     if objective not in OBJECTIVES:
         raise ValueError(

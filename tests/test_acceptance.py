@@ -151,9 +151,11 @@ def test_criterion_2_hand_traced_scenarios_match_exactly():
         advertisement=np.zeros(2),
     )
     first = step(state)
+    assert first.tolist() == [[0, 0], [1, 1]]
+    assert state.round == 1
     second = step(state)
-    assert [(e.agent, e.item, e.round) for e in first] == [(0, 0, 1), (1, 1, 1)]
-    assert [(e.agent, e.item, e.round) for e in second] == [(0, 1, 2), (1, 0, 2)]
+    assert second.tolist() == [[0, 1], [1, 0]]
+    assert state.round == 2
     assert state.counts.tolist() == [2, 2]
 
     # scenario 2: triangle, gamma=0.5, pressure flips agent 1 in round 2
@@ -171,8 +173,8 @@ def test_criterion_2_hand_traced_scenarios_match_exactly():
     )
     first = step(state)
     second = step(state)
-    assert [(e.agent, e.item) for e in first] == [(0, 0), (1, 0), (2, 1)]
-    assert [(e.agent, e.item) for e in second] == [(0, 1), (1, 1), (2, 0)]
+    assert first.tolist() == [[0, 0], [1, 0], [2, 1]]
+    assert second.tolist() == [[0, 1], [1, 1], [2, 0]]
     assert state.counts.tolist() == [3, 3, 0]
 
 

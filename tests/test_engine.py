@@ -1,6 +1,7 @@
 """Engine tests: seed derivation, documented hand-traced scenarios, the
 brute-force cross-check, introduction scheduling, and ensemble mechanics."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fashsim import engine, kernel
 from fashsim.engine import (
     DEFAULT_SEED,
     SimulationConfig,
@@ -155,19 +157,21 @@ class TestHandTracedScenarios:
     def test_two_agents_follow_their_likings(self):
         state = two_agent_market()
         first = step(state)
-        assert [(e.agent, e.item, e.round) for e in first] == [(0, 0, 1), (1, 1, 1)]
+        assert first.tolist() == [[0, 0], [1, 1]]
+        assert state.round == 1
         second = step(state)
-        assert [(e.agent, e.item, e.round) for e in second] == [(0, 1, 2), (1, 0, 2)]
+        assert second.tolist() == [[0, 1], [1, 0]]
+        assert state.round == 2
         assert state.counts[0] == state.counts[1] == 2  # all shares 1.0
 
     def test_triangle_social_pressure_flips_agent1(self):
         state = triangle_market()
         first = step(state)
-        assert [(e.agent, e.item) for e in first] == [(0, 0), (1, 0), (2, 1)]
+        assert first.tolist() == [[0, 0], [1, 0], [2, 1]]
         second = step(state)
         # agent 1 likes item 2 better (0.5 vs 0.3) but both rankings pick
         # item 1 once pressure enters: O(1,1)=0.40 beats O(1,2)=0.25.
-        assert [(e.agent, e.item) for e in second] == [(0, 1), (1, 1), (2, 0)]
+        assert second.tolist() == [[0, 1], [1, 1], [2, 0]]
         assert state.counts[:3].tolist() == [3, 3, 0]
 
     def test_triangle_arithmetic_matches_the_write_up(self):
@@ -195,23 +199,23 @@ class TestStep:
             advertisement=np.zeros(3),
         )
         events = step(state)
-        assert [(e.agent, e.item) for e in events] == [(0, 0), (1, 1)]
+        assert events.tolist() == [[0, 0], [1, 1]]
         events = step(state)
-        assert [(e.agent, e.item) for e in events] == [(0, 1), (1, 0)]
+        assert events.tolist() == [[0, 1], [1, 0]]
 
     def test_synchronous_commit_uses_round_start_state(self):
         # Both agents rank with zero pressure in round 1 even though their
         # choices would raise each other's pressure if applied eagerly.
         state = two_agent_market(gamma=0.99)
         events = step(state)
-        assert [(e.agent, e.item) for e in events] == [(0, 0), (1, 1)]
+        assert events.tolist() == [[0, 0], [1, 1]]
 
     def test_agents_abstain_when_everything_is_consumed(self):
         state = two_agent_market()
         step(state)
         step(state)
         third = step(state)
-        assert third == ()
+        assert len(third) == 0
         assert state.round == 3
 
     def test_min_utility_floor_blocks_low_scores(self):
@@ -225,14 +229,99 @@ class TestStep:
         )
         events = step(state)
         # agent 0's best (0.9) clears the floor; agent 1's best (0.3) does not
-        assert [(e.agent, e.item) for e in events] == [(0, 0)]
-        assert step(state) == ()  # 0.2 stays below the floor forever
+        assert events.tolist() == [[0, 0]]
+        assert len(step(state)) == 0  # 0.2 stays below the floor forever
 
     def test_round_counter_advances_even_with_no_events(self):
         state = two_agent_market()
         for want in (1, 2, 3, 4):
             step(state)
             assert state.round == want
+
+
+def assert_same_commits(got, want):
+    assert np.array_equal(got.consumed, want.consumed)
+    assert np.array_equal(got.consumed_round, want.consumed_round)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.nbr_counts, want.nbr_counts)
+
+
+class TestCommitRound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(7, 300),
+        kind=st.sampled_from(["ring", "random", "small_world"]),
+        k=st.sampled_from([2, 4, 6]),
+        p=st.floats(0.0, 0.2),
+        mode=st.sampled_from(["cultural", "fashion"]),
+    )
+    def test_matches_the_scalar_replay(self, seed, n, kind, k, p, mode):
+        """Kernel choices committed with commit_round equal the same events
+        applied one by one with apply_consumption on a copy."""
+        cfg = SimulationConfig(
+            n_agents=n, m_initial=6, rounds=8,
+            topology=TopologySpec(kind=kind, k=k, p=p),
+            params=MarketParams(intro_period=2, new_item_liking="uniform",
+                                min_utility=0.3),
+            mode=mode, seed=seed,
+        )
+        rng = rng_from(seed)
+        state = init_market(cfg, rng)
+        replay, replay_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        choices = np.empty(n, dtype=np.int64)
+
+        def decide(*args):
+            kernel.decide_round(*args)
+            choices[:] = args[-1]
+
+        for _ in range(cfg.rounds):
+            if mode == "fashion" and state.round > 0 and state.round % 2 == 0:
+                introduce_items(state, rng)
+                introduce_items(replay, replay_rng)
+            step(state, decide=decide)
+            label = replay.round + 1
+            agents = np.flatnonzero(choices >= 0)
+            for i in agents:
+                replay.apply_consumption(int(i), int(choices[i]), label)
+            replay.round = label
+            assert state.round == label
+            assert_same_commits(state, replay)
+
+    def test_direct_commit_matches_the_scalar_replay(self):
+        state = init_market(small_config(n_agents=9, mode="cultural"))
+        replay = copy.deepcopy(state)
+        agents, items = np.array([0, 3, 4, 8]), np.array([2, 0, 2, 1])
+        state.commit_round(agents, items, 1)
+        for i, a in zip(agents.tolist(), items.tolist()):
+            replay.apply_consumption(i, a, 1)
+        assert_same_commits(state, replay)
+        state.commit_round(np.empty(0, np.int64), np.empty(0, np.int64), 2)
+        assert_same_commits(state, replay)
+
+    def test_rejects_a_pair_already_consumed(self):
+        state = init_market(small_config(mode="cultural"))
+        state.commit_round(np.array([1, 2]), np.array([0, 3]), 1)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match="agent 2 already consumed item 3"):
+            state.commit_round(np.array([0, 2, 5]), np.array([1, 3, 1]), 2)
+        assert_same_commits(state, before)  # nothing of the batch was written
+
+    def test_rejects_malformed_batches(self):
+        state = init_market(small_config())
+        bad = [
+            ([1, 1], [0, 1]),     # agent twice in one round
+            ([2, 1], [0, 1]),     # not ascending
+            ([-1], [0]),          # agent out of range
+            ([6], [0]),
+            ([0], [-1]),          # item out of range
+            ([0], [state.m]),     # reserved column, not live yet
+            ([0, 1], [0]),        # length mismatch
+        ]
+        for agents, items in bad:
+            with pytest.raises(ValueError):
+                state.commit_round(np.array(agents), np.array(items), 1)
+        assert not state.consumed.any()
 
 
 class TestIntroductions:
@@ -427,6 +516,15 @@ class TestEnsembles:
         assert np.array_equal(one.mean_share, many.mean_share)
         assert np.array_equal(one.std_share, many.std_share)
         assert np.array_equal(one.per_run_final_share, many.per_run_final_share)
+
+    def test_default_runs_without_a_thread_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_ensemble built a thread pool by default")
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        cfg = small_config(seed=6)
+        ens = run_ensemble(cfg, runs=4)
+        assert np.array_equal(ens.mean_share, run_ensemble(cfg, runs=4, jobs=1).mean_share)
 
     def test_single_run_ensemble_has_zero_std(self):
         ens = run_ensemble(small_config(seed=9), runs=1, jobs=1)
