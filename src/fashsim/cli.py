@@ -15,7 +15,8 @@ the FASHSIM_OUT environment variable, else "out"):
 trace.csv for run/ensemble carries the columns
   round,item_id,advertisement,intro_round,share_mean,share_std,consumption_rate_mean
 and sweep/optimize prepend a grid_value column. Floats are serialized with
-17 significant digits, so identical invocations produce identical bytes.
+17 significant digits ('.17g', which round-trips every float64), so
+identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime
 failure (e.g. unwritable output directory).
@@ -42,13 +43,7 @@ from .engine import (
     run_ensemble,
 )
 from .graph import TopologySpec
-from .metrics import (
-    gini,
-    peak_stats,
-    quality_share_correlation,
-    rate_series,
-    share_series,
-)
+from .metrics import gini, quality_share_correlation
 from .model import BLENDS, MODES, NEW_ITEM_LIKINGS, MarketParams
 from .sweep import (
     OBJECTIVES,
@@ -306,53 +301,85 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# The three float columns use '%.17g', which for a Python float gives the
+# same text as _fmt (including -0, nan and inf).
+_ROW_FORMAT = "%s,%s,%.17g,%.17g,%.17g"
+
+
 def _trace_rows(rounds, item_ids, ads, intros, mean, std,
-                prefix: Tuple[str, ...] = ()) -> List[Tuple[str, ...]]:
+                grid_value: Optional[float] = None) -> List[str]:
+    """trace.csv data lines, round-major, without line terminators.
+
+    An item introduced at round r first trades in round r + 1, so it has no
+    line before that. The per-round and per-item cells are formatted once
+    each and the float columns in one pass over the live cells; grid_value,
+    if given, becomes a leading grid_value cell.
+    """
+    rounds = np.asarray(rounds)
+    intros = np.asarray(intros)
+    ri, ci = np.nonzero(intros[None, :] < rounds[:, None])
+    lead = "" if grid_value is None else _fmt(grid_value) + ","
+    round_cells = np.array([lead + str(r) for r in rounds.tolist()], dtype=object)
+    item_cells = np.array(
+        ["%d,%s,%d" % (a, _fmt(ad), i) for a, ad, i in
+         zip(np.asarray(item_ids).tolist(), np.asarray(ads).tolist(), intros.tolist())],
+        dtype=object)
     rates = np.diff(mean, axis=0, prepend=0.0)
-    rows = []
-    for ri, r in enumerate(rounds):
-        for ci, a in enumerate(item_ids):
-            if int(intros[ci]) >= int(r):
-                continue  # item not yet on the market in this round
-            rows.append(prefix + (
-                str(int(r)), str(int(a)), _fmt(ads[ci]), str(int(intros[ci])),
-                _fmt(mean[ri, ci]), _fmt(std[ri, ci]), _fmt(rates[ri, ci]),
-            ))
-    return rows
+    return list(map(_ROW_FORMAT.__mod__, zip(
+        round_cells[ri].tolist(), item_cells[ci].tolist(),
+        mean[ri, ci].tolist(), std[ri, ci].tolist(), rates[ri, ci].tolist())))
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[Tuple[str, ...]]) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: List[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([",".join(header), *rows, ""]))
 
 
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _peak_block(obj) -> Dict[str, Dict[str, object]]:
-    block: Dict[str, Dict[str, object]] = {}
-    for a in obj.item_ids:
-        a = int(a)
-        try:
-            ss = share_series(obj, a)
-            rr, rates = rate_series(obj, a)
-        except ValueError:
-            continue  # entered after the recorded window
-        ps = peak_stats(ss)
-        pr = peak_stats(rates, rounds=rr)
-        block[str(a)] = {
-            "peak_share": ps.peak,
-            "peak_share_round": ps.peak_round,
-            "final_share": ps.final,
-            "peak_rate": pr.peak,
-            "peak_rate_round": pr.peak_round,
+    """Per-item share and rate peaks, computed over the whole (R, M) table.
+
+    Gives what share_series, rate_series and peak_stats give item by item
+    (the scalar reference): an item's series covers its live rounds (those
+    after its intro round), the first live rate is its first live share,
+    and a peak is the first live round attaining the maximum. Items with no
+    live round, or whose live shares leave [0, 1] or decrease, are left out,
+    as ShareSeries rejects them. Rounds are strictly increasing (1..R), so
+    each item's live rounds are a suffix of them.
+    """
+    values = obj.mean_share if isinstance(obj, EnsembleResult) else obj.shares
+    rounds = np.asarray(obj.rounds)
+    live = rounds[:, None] > np.asarray(obj.intro_rounds)[None, :]
+    in_range = (values >= 0.0) & (values <= 1.0)
+    decreasing = live[:-1] & (values[1:] < values[:-1])
+    keep = (live.any(axis=0) & (in_range | ~live).all(axis=0)
+            & ~decreasing.any(axis=0))
+    cols = np.flatnonzero(keep)
+    values = values[:, cols]
+    live = live[:, cols]
+    shares = np.where(live, values, 0.0)
+    rates = np.diff(shares, axis=0, prepend=0.0)
+    share_idx = np.where(live, shares, -np.inf).argmax(axis=0)
+    rate_idx = np.where(live, rates, -np.inf).argmax(axis=0)
+    at = np.arange(len(cols))
+    return {
+        str(a): {
+            "peak_share": ps,
+            "peak_share_round": psr,
+            "final_share": fs,
+            "peak_rate": pr,
+            "peak_rate_round": prr,
         }
-    return block
+        for a, ps, psr, fs, pr, prr in zip(
+            np.asarray(obj.item_ids)[cols].tolist(),
+            shares[share_idx, at].tolist(), rounds[share_idx].tolist(),
+            values[-1].tolist(),
+            rates[rate_idx, at].tolist(), rounds[rate_idx].tolist())
+    }
 
 
 def _final_share_map(item_ids, finals) -> Dict[str, float]:
@@ -446,23 +473,25 @@ def cmd_ensemble(settings: RunSettings) -> None:
                    _manifest("ensemble", settings, None))
 
 
+def _grid_outputs(points) -> Tuple[List[str], List[Dict]]:
+    """trace.csv rows and summary points of a sweep, grid point by point."""
+    rows: List[str] = []
+    summaries = []
+    for pt in points:
+        ens = pt.ensemble
+        rows.extend(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
+                                ens.intro_rounds, ens.mean_share, ens.std_share,
+                                grid_value=pt.value))
+        summaries.append({"value": pt.value, "seed": pt.seed, **_ensemble_summary(ens)})
+    return rows, summaries
+
+
 def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
                    grid: Tuple[float, ...]) -> None:
     spec = SweepSpec(base=settings.config, parameter=parameter, grid=grid,
                      runs=settings.runs)
     result = sweep(spec, jobs=settings.jobs)
-    rows: List[Tuple[str, ...]] = []
-    points = []
-    for pt in result.points:
-        ens = pt.ensemble
-        rows.extend(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                                ens.intro_rounds, ens.mean_share, ens.std_share,
-                                prefix=(_fmt(pt.value),)))
-        points.append({
-            "value": pt.value,
-            "seed": pt.seed,
-            **_ensemble_summary(ens),
-        })
+    rows, points = _grid_outputs(result.points)
     summary = {"command": command, "parameter": parameter, "points": points}
     _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, rows, summary,
                    _manifest(command, settings, grid))
@@ -484,18 +513,7 @@ def cmd_optimize(settings: RunSettings) -> None:
     result = optimize_advertisement(settings.config, grid,
                                     objective=settings.objective,
                                     runs=settings.runs, jobs=settings.jobs)
-    rows: List[Tuple[str, ...]] = []
-    points = []
-    for pt in result.sweep_result.points:
-        ens = pt.ensemble
-        rows.extend(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                                ens.intro_rounds, ens.mean_share, ens.std_share,
-                                prefix=(_fmt(pt.value),)))
-        points.append({
-            "value": pt.value,
-            "seed": pt.seed,
-            **_ensemble_summary(ens),
-        })
+    rows, points = _grid_outputs(result.sweep_result.points)
     summary = {
         "command": "optimize",
         "objective": result.objective,

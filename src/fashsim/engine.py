@@ -237,18 +237,21 @@ def introduce_items(state: MarketState,
 def _round_penalties(state: MarketState) -> np.ndarray:
     """Per-item penalty for the coming round, from round-start shares.
 
-    Computed once here (scalar sigmoid per item) and handed to whichever
-    decision backend runs, so both backends consume identical values.
+    Computed once here and handed to whichever decision backend runs, so
+    both backends consume identical values. Counts take at most n + 1
+    distinct values, so the scalar sigmoid runs once per distinct count and
+    is spread to the items by table lookup; each item still gets exactly
+    sigmoid(count / n) * advertisement.
     """
     p = state.params
     n = state.n_agents
     m = state.m
-    pen = np.zeros(m, dtype=np.float64)
-    if state.mode == "fashion":
-        for a in range(m):
-            share = state.counts[a] / n
-            pen[a] = sigmoid(share, p.beta, p.sigmoid_center) * state.advertisement[a]
-    return pen
+    if state.mode != "fashion":
+        return np.zeros(m, dtype=np.float64)
+    uniq, inv = np.unique(state.counts[:m], return_inverse=True)
+    table = np.array([sigmoid(k / n, p.beta, p.sigmoid_center) for k in uniq.tolist()],
+                     dtype=np.float64)
+    return table[inv] * state.advertisement[:m]
 
 
 def step(state: MarketState, decide=None) -> np.ndarray:

@@ -1,10 +1,12 @@
 """CLI tests: config resolution, output files, byte-level reproducibility,
 manifest round-trips, and exit codes. Everything runs main() in-process."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,14 @@ import pytest
 from fashsim.cli import (
     TRACE_HEADER,
     ConfigError,
+    _fmt,
+    _peak_block,
+    _trace_rows,
     main,
     parse_config,
 )
-from fashsim.engine import SimulationConfig, run
+from fashsim.engine import SimulationConfig, run, run_ensemble
+from fashsim.metrics import peak_stats, rate_series, share_series
 
 CFG_TEXT = """\
 # small market for fast tests
@@ -286,6 +292,159 @@ class TestSweepAndOptimize:
         doc = json.loads(read(out / "manifest.json"))
         assert doc["config"]["grid"] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                          0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+GOLDEN_BASE = """\
+mode = fashion
+topology = ring
+k = 2
+agents = 12
+items = 6
+rounds = 8
+intro_period = 2
+intro_batch = 2
+intro_ads = 0.7,0.3
+catalog_ads = 0.2
+seed = 5
+"""
+
+# sha256 of (trace.csv, summary.json) per command. Any change to these bytes
+# is an output change and must be versioned, not absorbed.
+GOLDENS = {
+    "run": (
+        GOLDEN_BASE + "new_item_liking = uniform\nmin_utility = 0.3\n",
+        "617e15350289fcee185477132c86931fe0489f12fca2952e682134574de743fc",
+        "e9f1156f6193840b6509aa1ee9ef6346bb6d055da1a8893beb65ae285fad9f74",
+    ),
+    "ensemble": (
+        GOLDEN_BASE + "utility_social_blend = literal_consumption\nruns = 3\n",
+        "4d2b85fc022a74e03ee732221cb58093f2c234b0edbadf6c38a55c1069021433",
+        "8031dabac0df7c46175685cd856f44ffe6f7105851e5cb7737fb9e8bf5d20e91",
+    ),
+    "sweep-beta": (
+        GOLDEN_BASE + "new_item_liking = uniform\n"
+        "utility_social_blend = literal_consumption\n"
+        "min_utility = 0.2\nruns = 2\ngrid = 1,10\n",
+        "a042cfa920e4c1bb22850af15f7d44ac62521741482d61dfc65b3e6c685cae1a",
+        "151b34f3aa5619e27da574b0ab4fe6c8b5c8c38de3b4c2aa5238668ba9d002c0",
+    ),
+    "optimize": (
+        GOLDEN_BASE.replace("ring", "small-world") + "runs = 2\ngrid = 0,0.5,1\n",
+        "0c74a441f85841bd2adf6bbcdb08840dc5d39e4a3254778db459838d9d1e7473",
+        "46d25c515fc1c0cecbf21a7e7fcb31242dcecbfa24e301297da025daf08225f0",
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command", sorted(GOLDENS))
+    def test_outputs_match_the_recorded_digests(self, tmp_path, command):
+        text, trace_digest, summary_digest = GOLDENS[command]
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(read(out / "trace.csv")).hexdigest() == trace_digest
+        assert hashlib.sha256(read(out / "summary.json")).hexdigest() == summary_digest
+
+
+def peak_block_reference(obj):
+    """Item-by-item peaks through the public metrics helpers."""
+    block = {}
+    for a in obj.item_ids:
+        a = int(a)
+        try:
+            ss = share_series(obj, a)
+            rr, rates = rate_series(obj, a)
+        except ValueError:
+            continue  # no live round, or not a valid share series
+        ps = peak_stats(ss)
+        pr = peak_stats(rates, rounds=rr)
+        block[str(a)] = {
+            "peak_share": ps.peak,
+            "peak_share_round": ps.peak_round,
+            "final_share": ps.final,
+            "peak_rate": pr.peak,
+            "peak_rate_round": pr.peak_round,
+        }
+    return block
+
+
+def trace_rows_reference(rounds, item_ids, ads, intros, mean, std, grid_value=None):
+    """trace.csv lines formatted one cell at a time with _fmt."""
+    rates = np.diff(mean, axis=0, prepend=0.0)
+    lead = () if grid_value is None else (_fmt(grid_value),)
+    rows = []
+    for ri, r in enumerate(rounds):
+        for ci, a in enumerate(item_ids):
+            if int(intros[ci]) >= int(r):
+                continue
+            rows.append(",".join(lead + (
+                str(int(r)), str(int(a)), _fmt(ads[ci]), str(int(intros[ci])),
+                _fmt(mean[ri, ci]), _fmt(std[ri, ci]), _fmt(rates[ri, ci]),
+            )))
+    return rows
+
+
+# One column per case; rows are rounds 1..5.
+EDGE_INTROS = np.array([0, 2, 2, 5, 0, 0, 3, 1, 0])
+EDGE_SHARES = np.array([
+    # flat  tie   rise  never >1    down  junk  nan   thirds
+    [0.0,   0.0,  0.0,  0.0,  0.1,  0.4,  0.9,  0.0,  0.1 + 0.2],
+    [0.0,   0.0,  0.0,  0.0,  0.2,  0.3,  0.1,  0.5,  1 / 3],
+    [0.0,   0.25, 0.2,  0.0,  1.5,  0.3,  0.5,  np.nan, 1 / 3],
+    [0.0,   0.5,  0.2,  0.0,  1.0,  0.5,  0.3,  0.6,  0.5],
+    [0.0,   0.75, 0.5,  0.0,  1.0,  0.5,  0.3,  0.7,  1.0],
+])
+
+
+def edge_case_results():
+    """A Trace and an EnsembleResult carrying EDGE_SHARES: flat and tied
+    series (peaks go to the first live round), an item live from row 0, one
+    that never enters, out-of-range, decreasing and NaN series (skipped),
+    and nonzero values before entry (ignored)."""
+    cfg = SimulationConfig(n_agents=6, m_initial=9, rounds=5, mode="cultural", seed=3)
+    fields = dict(
+        rounds=np.arange(1, 6), item_ids=np.arange(9),
+        advertisements=np.linspace(0.0, 1.0, 9), intro_rounds=EDGE_INTROS,
+    )
+    trace = replace(run(cfg), shares=EDGE_SHARES, **fields)
+    ens = replace(run_ensemble(cfg, 2), mean_share=EDGE_SHARES, **fields)
+    return trace, ens
+
+
+class TestColumnwiseWriters:
+    def test_peak_block_matches_the_metrics_helpers(self):
+        cfg = SimulationConfig(n_agents=12, m_initial=6, rounds=8, seed=4)
+        results = [run(cfg), run_ensemble(cfg, 3), *edge_case_results()]
+        for obj in results:
+            got, want = _peak_block(obj), peak_block_reference(obj)
+            assert list(got) == list(want)
+            assert json.dumps(got) == json.dumps(want)
+        assert len(results[0].item_ids) > 6  # introductions happened
+        trace = edge_case_results()[0]
+        block = _peak_block(trace)
+        assert sorted(block) == ["0", "1", "2", "6", "8"]
+        assert block["0"]["peak_share_round"] == 1 and block["0"]["peak_rate_round"] == 1
+        assert block["1"]["peak_rate_round"] == 3
+        assert block["6"] == {"peak_share": 0.3, "peak_share_round": 4, "final_share": 0.3,
+                              "peak_rate": 0.3, "peak_rate_round": 4}
+
+    @pytest.mark.parametrize("grid_value", [None, 0.1 + 0.2, -0.0, 10.0])
+    def test_trace_rows_match_per_cell_formatting(self, grid_value):
+        values = [-0.0, 5e-324, 1 / 3, 0.1 + 0.2, 1.0, 1e16]
+        mean = np.array([values, values[::-1], values[2:] + values[:2]])
+        std = mean[::-1] * 0.5
+        ads = np.array(values)
+        intros = np.array([0, 0, 1, 2, 3, 0])
+        item_ids = np.array([0, 1, 2, 3, 4, 7])
+        rounds = np.array([1, 2, 3])
+        got = _trace_rows(rounds, item_ids, ads, intros, mean, std, grid_value)
+        want = trace_rows_reference(rounds, item_ids, ads, intros, mean, std, grid_value)
+        assert got == want
+        assert len(got) == 3 * 3 + 2 + 1  # item 4 (intro 3) never appears
+        assert got[0].endswith("1,0,-0,0,-0,0.16666666666666666,-0")
+        assert "4.9406564584124654e-324" in got[1]
 
 
 class TestOutputResolution:

@@ -22,7 +22,7 @@ from fashsim.engine import (
     step,
 )
 from fashsim.graph import SocialGraph, TopologySpec, build_ring
-from fashsim.model import MarketParams, MarketState
+from fashsim.model import MarketParams, MarketState, sigmoid
 
 
 def rng_from(seed):
@@ -322,6 +322,55 @@ class TestCommitRound:
             with pytest.raises(ValueError):
                 state.commit_round(np.array(agents), np.array(items), 1)
         assert not state.consumed.any()
+
+
+def penalties_per_item(state):
+    """Per-item scalar sigmoid loop: the bit-level reference for
+    engine._round_penalties."""
+    p = state.params
+    pen = np.zeros(state.m, dtype=np.float64)
+    if state.mode == "fashion":
+        for a in range(state.m):
+            share = state.counts[a] / state.n_agents
+            pen[a] = sigmoid(share, p.beta, p.sigmoid_center) * state.advertisement[a]
+    return pen
+
+
+class TestRoundPenalties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(3, 60),
+        m=st.integers(0, 40),
+        beta=st.sampled_from([0.1, 1.0, 7.3, 50.0, 800.0]),
+        center=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_matches_the_per_item_loop_bit_for_bit(self, seed, n, m, beta, center):
+        cfg = small_config(
+            n_agents=n, m_initial=max(m, 1), seed=seed,
+            params=MarketParams(beta=beta, sigmoid_center=center),
+        )
+        state = init_market(cfg)
+        state.m = m
+        draw = rng_from(seed)
+        # Repeated counts, with 0 and n (everyone consumed) always likely.
+        pool = np.array([0, n, int(draw.integers(0, n + 1)), int(draw.integers(0, n + 1))])
+        state.counts[:m] = draw.choice(pool, size=m)
+        ads = draw.random(m)
+        ads[draw.random(m) < 0.3] = 0.0
+        state.advertisement[:m] = ads
+        got = engine._round_penalties(state)
+        want = penalties_per_item(state)
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cultural_mode_has_no_penalty(self):
+        state = init_market(small_config(mode="cultural"))
+        state.counts[:state.m] = [0, 6, 3, 6]
+        state.advertisement[:state.m] = [0.0, 1.0, 0.5, 0.2]
+        got = engine._round_penalties(state)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.zeros(state.m))
 
 
 class TestIntroductions:
