@@ -21,7 +21,7 @@ from .engine import (
     step,
 )
 from .graph import SocialGraph, TopologySpec, build_random, build_ring, build_small_world, neighbors
-from .kernel import BACKEND, available_backends
+from .kernel import BACKEND
 from .metrics import (
     PeakStats,
     ShareSeries,
@@ -75,7 +75,6 @@ __all__ = [
     "SweepSpec",
     "TopologySpec",
     "Trace",
-    "available_backends",
     "build_random",
     "build_ring",
     "build_small_world",

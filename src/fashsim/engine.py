@@ -237,10 +237,9 @@ def introduce_items(state: MarketState,
 def _round_penalties(state: MarketState) -> np.ndarray:
     """Per-item penalty for the coming round, from round-start shares.
 
-    Computed once here and handed to whichever decision backend runs, so
-    both backends consume identical values. Counts take at most n + 1
-    distinct values, so the scalar sigmoid runs once per distinct count and
-    is spread to the items by table lookup; each item still gets exactly
+    Zero in cultural mode. Counts take at most n + 1 distinct values, so
+    the scalar sigmoid runs once per distinct count and is spread to the
+    items by table lookup; each item still gets exactly
     sigmoid(count / n) * advertisement.
     """
     p = state.params
@@ -254,60 +253,46 @@ def _round_penalties(state: MarketState) -> np.ndarray:
     return table[inv] * state.advertisement[:m]
 
 
-def step(state: MarketState, decide=None) -> np.ndarray:
+def step(state: MarketState,
+         table: Optional[kernel.ScoreTable] = None) -> np.ndarray:
     """Advance one synchronous round; returns the committed events.
 
     The result is an (events, 2) int64 array of (agent, item) rows in
     ascending agent order; the round they belong to is the new state.round.
-    All of the round's consumptions are written by one
-    MarketState.commit_round call. decide overrides the scoring backend
-    (tests compare backends through this hook).
+    Choices come from the run's kernel.ScoreTable, and all of the round's
+    consumptions are written by one MarketState.commit_round call. Without
+    a table, step scores the state from scratch, so standalone calls need
+    none; a table passed in must have followed every earlier round of this
+    state (run() keeps one per run).
     """
-    if decide is None:
-        decide = kernel.decide_round
-    p = state.params
-    n = state.n_agents
-    m = state.m
     round_label = state.round + 1
-    if m == 0:
+    if state.m == 0:
         state.round = round_label
         return np.empty((0, 2), dtype=np.int64)
-
-    if state.mode == "fashion":
-        ads = state.advertisement
-        blend_liking = p.utility_social_blend == "liking"
+    if table is None:
+        table = kernel.ScoreTable(state)
+    elif table.state is not state:
+        raise ValueError("table: built for another MarketState")
     else:
-        # Cultural ranking is the plain opinion: no marketing, no penalty.
-        ads = np.zeros_like(state.advertisement)
-        blend_liking = True
-    pen = _round_penalties(state)
+        table.sync()
 
-    has_min = p.min_utility is not None
-    min_utility = float(p.min_utility) if has_min else 0.0
-    choices = np.empty(n, dtype=np.int64)
-    decide(
-        state.liking, state.tolerance, ads, pen,
-        state.nbr_counts, state.degrees, state.consumed,
-        p.gamma, blend_liking, m, min_utility, has_min, choices,
-    )
-
-    agents = np.flatnonzero(choices >= 0)
-    items = choices[agents]
-    state.commit_round(agents, items, round_label)
+    agents, items = table.choose(_round_penalties(state))
+    rows, cols = state.commit_round(agents, items, round_label)
+    table.refresh(rows, cols, agents, items)
     state.round = round_label
     return np.column_stack((agents, items))
 
 
-def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
+def run(config: SimulationConfig) -> Trace:
     """Execute one full simulation and return its trace.
 
     In fashion mode a batch of items is introduced at the top of every
     round r with r > 0 and r % intro_period == 0 (so the first batch enters
     after intro_period completed rounds), before that round's decisions.
     """
-    decide = kernel.get_decide(backend)
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     state = init_market(config, rng)
+    table = kernel.ScoreTable(state)
     p = config.params
     R = config.rounds
     m_final = _final_item_count(config)
@@ -319,7 +304,7 @@ def run(config: SimulationConfig, backend: Optional[str] = None) -> Trace:
         if (config.mode == "fashion" and state.round > 0
                 and state.round % p.intro_period == 0):
             introduce_items(state, rng)
-        events = step(state, decide=decide)
+        events = step(state, table)
         counts_hist[t, :state.m] = state.counts[:state.m]
         ev_agents.append(events[:, 0])
         ev_items.append(events[:, 1])
@@ -355,8 +340,7 @@ def _common_registry(registries) -> Tuple[np.ndarray, ...]:
     return first
 
 
-def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1,
-                 backend: Optional[str] = None) -> EnsembleResult:
+def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> EnsembleResult:
     """Aggregate `runs` independent runs; run i is seeded by
     derive_seed(config.seed, i).
 
@@ -376,7 +360,7 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1,
 
     def one(run_idx: int) -> Tuple[np.ndarray, ...]:
         cfg = replace(config, seed=derive_seed(config.seed, run_idx))
-        tr = run(cfg, backend=backend)
+        tr = run(cfg)
         shares[run_idx] = tr.shares
         quality[run_idx] = tr.quality
         return tr.rounds, tr.item_ids, tr.advertisements, tr.intro_rounds

@@ -156,25 +156,45 @@ def build_ring(n: int, k: int) -> SocialGraph:
     return SocialGraph.from_adjacency(_ring_sets(n, k))
 
 
+# Doubles drawn per block in build_random (2 MiB): bounds its memory.
+_RANDOM_BLOCK = 1 << 18
+
+
 def build_random(n: int, p: float, rng: np.random.Generator) -> SocialGraph:
     """Random graph: each unordered pair is an edge with probability p.
 
     Pairs are examined row by row ((0,1..n-1), (1,2..n-1), ...), one
     Bernoulli draw per pair, so a given rng state always yields the same
     graph. Isolated vertices are legal.
+
+    Whole rows are drawn in blocks of about _RANDOM_BLOCK doubles. Each
+    double takes the same bit-generator output however the draws are
+    split, so this is the stream of one rng.random call per row.
     """
     if n < 2:
         raise ValueError("n: random graph needs n >= 2 (got %d)" % n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p: edge probability must be in [0, 1] (got %r)" % p)
-    sets: Dict[int, Set[int]] = {i: set() for i in range(n)}
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        for off in hits:
-            j = i + 1 + int(off)
-            sets[i].add(j)
-            sets[j].add(i)
-    return SocialGraph.from_adjacency(sets)
+    # Row i holds the pairs (i, i+1..n-1): positions ends[i]-lens[i] to
+    # ends[i] of the row-major sequence of draws.
+    lens = np.arange(n - 1, 0, -1, dtype=np.int64)
+    ends = np.cumsum(lens)
+    lo, hi = [], []
+    first = 0
+    while first < n - 1:
+        start = ends[first] - lens[first]
+        last = max(int(np.searchsorted(ends, start + _RANDOM_BLOCK, side="right")), first + 1)
+        hits = np.flatnonzero(rng.random(int(ends[last - 1] - start)) < p) + start
+        rows = np.searchsorted(ends, hits, side="right")
+        lo.append(rows)
+        hi.append(hits - (ends[rows] - lens[rows]) + rows + 1)
+        first = last
+    src = np.concatenate(lo + hi)
+    dst = np.concatenate(hi + lo)
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return SocialGraph(n, offsets, dst[order])
 
 
 def build_small_world(n: int, k: int, p: float, rng: np.random.Generator) -> SocialGraph:

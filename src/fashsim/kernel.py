@@ -1,44 +1,174 @@
-"""Backend selection for the per-round decision kernel.
+"""The per-round decision: which item each agent consumes.
 
-The compiled Cython kernel is preferred when its extension module built;
-otherwise the NumPy implementation takes over. Both produce bit-identical
-results, so the choice only affects speed.
+``ScoreTable`` is what the engine runs. For one run it keeps every agent's
+round-independent score for every live item,
+
+    C[i, a] = (gamma * s[i, a] + (1 - gamma) * liking[i, a])
+              + tolerance[i] * advertisement[a]
+
+where s[i, a] is the fraction of i's neighbours who consumed a, and -inf
+where i already consumed a. A round subtracts the per-item penalty, takes
+the row argmax, and after the commit recomputes only the cells whose
+neighbour counts changed. Every cell goes through the same IEEE-754
+operations in the same order as ``decide_round``, so the choices are those
+of a full recompute, bit for bit.
+
+``decide_round`` is that full recompute. The engine no longer calls it;
+it is the reference the tests hold the table to.
 """
 
-from typing import Callable, Tuple
+import numpy as np
 
-from . import _pykernel
-
-try:
-    from . import _kernel as _compiled
-except ImportError:  # extension not built; pure Python still works
-    _compiled = None
-
-BACKEND: str = "compiled" if _compiled is not None else "python"
-
-decide_round: Callable = (
-    _compiled.decide_round if _compiled is not None else _pykernel.decide_round
-)
+# Name of the decision implementation, recorded in manifest.json.
+BACKEND: str = "python"
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names of the decision backends importable right now."""
-    if _compiled is not None:
-        return ("compiled", "python")
-    return ("python",)
+class ScoreTable:
+    """One run's cached scores (see the module docstring).
 
+    Cultural mode ranks by opinion alone: no marketing term and no
+    penalty. Under the literal_consumption blend the liking term is left
+    out, as in ``decide_round``. The table owns its arrays, scratch buffer
+    included, so runs on different threads never share memory.
 
-def get_decide(backend=None) -> Callable:
-    """Resolve a backend name to its decide_round callable.
-
-    None means the default (compiled when available).
+    The table follows its state through ``sync`` (items introduced since
+    the last call, or capacity grown) and ``refresh`` (after each commit);
+    any other change to the state leaves it stale.
     """
-    if backend is None:
-        return decide_round
-    if backend == "python":
-        return _pykernel.decide_round
-    if backend == "compiled":
-        if _compiled is None:
-            raise ValueError("backend: compiled kernel is not available")
-        return _compiled.decide_round
-    raise ValueError("backend: expected 'compiled', 'python', or None (got %r)" % (backend,))
+
+    __slots__ = ("state", "m", "scores", "_scratch", "_rows", "_denom",
+                 "_gamma", "_blend_liking", "_fashion", "_min_utility")
+
+    def __init__(self, state):
+        p = state.params
+        n = state.n_agents
+        self.state = state
+        self._rows = np.arange(n)
+        # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
+        # the +0.0 that decide_round leaves where deg == 0.
+        self._denom = np.maximum(state.degrees, 1).astype(np.float64)
+        self._gamma = p.gamma
+        self._fashion = state.mode == "fashion"
+        self._blend_liking = not self._fashion or p.utility_social_blend == "liking"
+        self._min_utility = None if p.min_utility is None else float(p.min_utility)
+        self.scores, self._scratch = np.empty((n, 0)), np.empty(0)
+        self.m = 0
+        self.sync()
+
+    def sync(self) -> None:
+        """Score the items the state gained since the last call; start
+        over if the state's capacity grew (its arrays were replaced)."""
+        st = self.state
+        n, cap = st.liking.shape
+        if self.scores.shape[1] != cap:
+            self.scores = np.empty((n, cap))
+            self._scratch = np.empty(n * cap)
+            self.m = 0
+        lo, hi = self.m, st.m
+        if hi == lo:
+            return
+        g = self._gamma
+        c = g * (st.nbr_counts[:, lo:hi] / self._denom[:, None])
+        if self._blend_liking:
+            c += (1.0 - g) * st.liking[:, lo:hi]
+        if self._fashion:
+            c += st.tolerance[:, None] * st.advertisement[None, lo:hi]
+        c[st.consumed[:, lo:hi] != 0] = -np.inf
+        self.scores[:, lo:hi] = c
+        self.m = hi
+
+    def choose(self, pen: np.ndarray):
+        """This round's consumers and their items, agents ascending.
+
+        pen is the per-item penalty of the live items (cultural mode has
+        none and ignores it). An agent abstains
+        when nothing is left for it (best score -inf) or its best score is
+        below min_utility. Ties go to the lowest item id.
+        """
+        n, m = len(self._rows), self.m
+        scores = self.scores[:, :m]
+        if self._fashion:
+            out = self._scratch[:n * m].reshape(n, m)
+            np.subtract(scores, pen, out=out)
+            scores = out
+        choice = scores.argmax(axis=1)  # first max = lowest id
+        best = scores[self._rows, choice]
+        if self._min_utility is None:
+            keep = best != -np.inf
+        else:
+            keep = best >= self._min_utility
+        agents = np.flatnonzero(keep)
+        return agents, choice[agents]
+
+    def refresh(self, rows: np.ndarray, cols: np.ndarray,
+                agents: np.ndarray, items: np.ndarray) -> None:
+        """Re-score after a commit.
+
+        (rows, cols) are the cells whose neighbour counts the commit
+        raised, repeats allowed; (agents, items) are the pairs it
+        consumed.
+        """
+        st = self.state
+        cap = self.scores.shape[1]
+        flat = rows * cap
+        flat += cols
+        # The same operations as sync, gathered per cell and done in place
+        # (x * g is g * x in IEEE arithmetic).
+        c = st.nbr_counts.reshape(-1).take(flat) / self._denom.take(rows)
+        c *= self._gamma
+        if self._blend_liking:
+            liked = st.liking.reshape(-1).take(flat)
+            liked *= 1.0 - self._gamma
+            c += liked
+        if self._fashion:
+            pull = st.tolerance.take(rows)
+            pull *= st.advertisement.take(cols)
+            c += pull
+        np.copyto(c, -np.inf, where=st.consumed.reshape(-1).take(flat) != 0)
+        scores = self.scores.reshape(-1)
+        scores.put(flat, c)
+        scores.put(agents * cap + items, -np.inf)
+
+
+def decide_round(
+    liking: np.ndarray,        # float64 (n, cap)
+    tolerance: np.ndarray,     # float64 (n,)
+    advertisement: np.ndarray, # float64 (cap,)
+    pen: np.ndarray,           # float64 (m,) per-item penalty this round
+    nbr_counts: np.ndarray,    # int64 (n, cap)
+    degrees: np.ndarray,       # int64 (n,)
+    consumed: np.ndarray,      # uint8 (n, cap)
+    gamma: float,
+    blend_liking: bool,
+    n_items: int,
+    min_utility: float,
+    has_min: bool,
+    out: np.ndarray,           # int64 (n,)
+) -> None:
+    """Fill out[i] with agent i's chosen item id, or -1 for abstention.
+
+    Scores only the first n_items columns, from scratch. Ties go to the
+    lowest item id.
+    """
+    n = tolerance.shape[0]
+    m = n_items
+    deg = degrees[:, None]
+
+    pressure = np.zeros((n, m), dtype=np.float64)
+    np.divide(nbr_counts[:, :m], deg, out=pressure, where=deg > 0)
+
+    score = gamma * pressure
+    if blend_liking:
+        score += (1.0 - gamma) * liking[:, :m]
+    score += tolerance[:, None] * advertisement[None, :m]
+    score -= pen[None, :m]
+
+    taken = consumed[:, :m] != 0
+    score[taken] = -np.inf
+    choice = np.argmax(score, axis=1).astype(np.int64)  # first max = lowest id
+    open_slots = m - taken.sum(axis=1)
+    if has_min:
+        best = score[np.arange(n), choice]
+        choice[best < min_utility] = -1
+    choice[open_slots == 0] = -1
+    out[:] = choice

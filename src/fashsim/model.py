@@ -263,20 +263,25 @@ class MarketState:
         nbrs = self.graph.neighbor_array(i)
         self.nbr_counts[nbrs, a] += 1
 
-    def commit_round(self, agents: np.ndarray, items: np.ndarray, round_no: int) -> None:
+    def commit_round(self, agents: np.ndarray, items: np.ndarray,
+                     round_no: int) -> Tuple[np.ndarray, np.ndarray]:
         """Commit one round's consumptions together: agents[k] consumed items[k].
 
         Agents must be strictly ascending (one consumption per agent per
         round). Every cache update is an integer add or store, so the result
         equals applying each pair with ``apply_consumption``, in any order.
         The whole batch is validated before anything is written.
+
+        Returns (rows, cols): the ``nbr_counts`` cells it incremented, one
+        entry per increment, so callers that cache scores can refresh just
+        those cells.
         """
         agents = np.asarray(agents, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if agents.ndim != 1 or agents.shape != items.shape:
             raise ValueError("agents, items: expected two 1-d arrays of equal length")
         if len(agents) == 0:
-            return
+            return agents, items
         if agents[0] < 0 or agents[-1] >= self.n_agents or np.any(agents[1:] <= agents[:-1]):
             raise ValueError("agents: expected strictly ascending ids in [0, %d)"
                              % self.n_agents)
@@ -299,9 +304,11 @@ class MarketState:
         ends = np.cumsum(lens)
         pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
         targets = self.graph.targets[pos]
+        cols = np.repeat(items, lens)
         # nbr_counts is allocated C-contiguous (here and in _grow), so the
         # reshape is a view and the flat scatter lands in it.
-        np.add.at(self.nbr_counts.reshape(-1), targets * cap + np.repeat(items, lens), 1)
+        np.add.at(self.nbr_counts.reshape(-1), targets * cap + cols, 1)
+        return targets, cols
 
     def append_items(
         self,

@@ -12,7 +12,7 @@ the configured intro_ads schedule.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -103,8 +103,7 @@ class SweepResult:
         raise ValueError("no sweep point for value %r" % (value,))
 
 
-def sweep(spec: SweepSpec, jobs: int = 1,
-          backend: Optional[str] = None) -> SweepResult:
+def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the ensemble at every grid value, in grid order.
 
     jobs caps each ensemble's worker threads (default 1, no thread pool).
@@ -113,7 +112,7 @@ def sweep(spec: SweepSpec, jobs: int = 1,
     for idx, value in enumerate(spec.grid):
         seed = derive_seed(spec.base.seed, idx)
         cfg = _apply(spec.base, spec.parameter, value, seed)
-        ens = run_ensemble(cfg, spec.runs, jobs=jobs, backend=backend)
+        ens = run_ensemble(cfg, spec.runs, jobs=jobs)
         points.append(SweepPoint(value=float(value), seed=seed, ensemble=ens))
     return SweepResult(spec=spec, points=tuple(points))
 
@@ -156,7 +155,6 @@ def optimize_advertisement(
     objective: str = "final_share",
     runs: int = 100,
     jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> OptimizeResult:
     """Pick the tracked item's best advertisement level off a grid.
 
@@ -173,7 +171,7 @@ def optimize_advertisement(
     tracked = tracked_item_id(config)
     spec = SweepSpec(base=config, parameter="advertisement",
                      grid=tuple(float(v) for v in grid), runs=runs)
-    result = sweep(spec, jobs=jobs, backend=backend)
+    result = sweep(spec, jobs=jobs)
 
     table = []
     for pt in result.points:

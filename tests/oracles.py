@@ -97,6 +97,21 @@ def mean_clustering(graph):
     return sum(local_clustering(graph, i) for i in range(graph.n)) / graph.n
 
 
+def random_graph_by_rows(n, p, rng):
+    """build_random as one rng.random call and one Python set update per
+    row: the reference for the blocked, vectorized builder."""
+    from fashsim.graph import SocialGraph
+
+    sets = {i: set() for i in range(n)}
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
+        for off in hits:
+            j = i + 1 + int(off)
+            sets[i].add(j)
+            sets[j].add(i)
+    return SocialGraph.from_adjacency(sets)
+
+
 def check_trace_invariants(trace):
     """Assert every structural invariant a finished trace must satisfy."""
     R, M = trace.shares.shape

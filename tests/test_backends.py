@@ -1,25 +1,14 @@
-"""Backend agreement tests.
+"""Tests of kernel.decide_round, the full-recompute decision reference.
 
-The compiled extension and the NumPy fallback must be interchangeable to
-the bit: identical choices on raw kernel inputs and identical full traces.
-The compiled backend is exercised when the extension built; otherwise those
-comparisons skip and the fallback is tested on its own.
+The engine's per-run score table is held to decide_round (see
+tests/test_engine.py::TestScoreTable); here decide_round itself is held to
+a scalar per-element recomputation of the same contract.
 """
 
 import numpy as np
-import pytest
 
-from fashsim import kernel
-from fashsim._pykernel import decide_round as py_decide
-from fashsim.engine import SimulationConfig, run
-from fashsim.graph import TopologySpec, build_random
-from fashsim.model import MarketParams
-
-HAVE_COMPILED = "compiled" in kernel.available_backends()
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled extension not built"
-)
+from fashsim.graph import build_random
+from fashsim.kernel import decide_round as py_decide
 
 
 def rng_from(seed):
@@ -149,68 +138,3 @@ class TestFallbackKernel:
         arrs["consumed"][:] = 0
         out = call(py_decide, arrs, 0.5, True, min_utility=99.0, has_min=True)
         assert np.all(out == -1)
-
-
-@needs_compiled
-class TestCompiledAgreement:
-    def test_identical_choices_on_raw_inputs(self):
-        from fashsim import _kernel
-
-        rng = rng_from(81)
-        for _ in range(200):
-            arrs = random_kernel_inputs(rng)
-            gamma = float(rng.random())
-            blend = bool(rng.random() < 0.5)
-            has_min = bool(rng.random() < 0.3)
-            floor = float(rng.uniform(-0.5, 0.8))
-            a = call(py_decide, arrs, gamma, blend, floor, has_min)
-            b = call(_kernel.decide_round, arrs, gamma, blend, floor, has_min)
-            assert np.array_equal(a, b)
-
-    def test_identical_traces_across_backends(self):
-        configs = [
-            SimulationConfig(
-                n_agents=40, m_initial=20, rounds=15,
-                topology=TopologySpec(kind="ring", k=4),
-                params=MarketParams(),
-                mode="fashion", seed=5,
-            ),
-            SimulationConfig(
-                n_agents=30, m_initial=25, rounds=12,
-                topology=TopologySpec(kind="random", p=0.15),
-                params=MarketParams(gamma=0.6, beta=8.0, intro_period=4,
-                                    catalog_ads=0.2),
-                mode="fashion", seed=6,
-            ),
-            SimulationConfig(
-                n_agents=25, m_initial=30, rounds=10,
-                topology=TopologySpec(kind="small_world", k=4, p=0.2),
-                params=MarketParams(gamma=0.9),
-                mode="cultural", seed=7,
-            ),
-        ]
-        for cfg in configs:
-            a = run(cfg, backend="python")
-            b = run(cfg, backend="compiled")
-            assert np.array_equal(a.shares, b.shares)
-            assert np.array_equal(a.counts, b.counts)
-            assert np.array_equal(a.quality, b.quality)
-            assert a.events == b.events
-
-
-class TestBackendSelection:
-    def test_registry_is_consistent(self):
-        names = kernel.available_backends()
-        assert "python" in names
-        assert kernel.BACKEND in names
-        if HAVE_COMPILED:
-            assert kernel.BACKEND == "compiled"
-
-    def test_get_decide(self):
-        assert kernel.get_decide(None) is kernel.decide_round
-        assert kernel.get_decide("python") is py_decide
-        with pytest.raises(ValueError):
-            kernel.get_decide("fortran")
-        if not HAVE_COMPILED:
-            with pytest.raises(ValueError):
-                kernel.get_decide("compiled")

@@ -230,6 +230,21 @@ class TestEnsembleCommand:
         assert read(a / "trace.csv") == read(b / "trace.csv")
         assert read(a / "summary.json") == read(b / "summary.json")
 
+    def test_jobs_one_and_three_write_the_same_bytes(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text(CFG_TEXT.replace("agents = 8", "agents = 300")
+                        .replace("items = 5", "items = 30")
+                        .replace("rounds = 6", "rounds = 20")
+                        .replace("runs = 3", "runs = 6")
+                        .replace("topology = ring", "topology = random\np = 0.05")
+                        + "new_item_liking = uniform\nmin_utility = 0.1\n",
+                        encoding="utf-8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["ensemble", "--config", str(path), "--out", str(a), "--jobs", "1"]) == 0
+        assert main(["ensemble", "--config", str(path), "--out", str(b), "--jobs", "3"]) == 0
+        assert read(a / "trace.csv") == read(b / "trace.csv")
+        assert read(a / "summary.json") == read(b / "summary.json")
+
     def test_summary_reports_spread_and_run_count(self, tmp_path, cfg_file):
         out = tmp_path / "o"
         main(["ensemble", "--config", cfg_file, "--out", str(out)])

@@ -2,6 +2,7 @@
 brute-force cross-check, introduction scheduling, and ensemble mechanics."""
 
 import copy
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -257,7 +258,7 @@ class TestCommitRound:
         mode=st.sampled_from(["cultural", "fashion"]),
     )
     def test_matches_the_scalar_replay(self, seed, n, kind, k, p, mode):
-        """Kernel choices committed with commit_round equal the same events
+        """step's events, committed with commit_round, equal the same events
         applied one by one with apply_consumption on a copy."""
         cfg = SimulationConfig(
             n_agents=n, m_initial=6, rounds=8,
@@ -269,21 +270,15 @@ class TestCommitRound:
         rng = rng_from(seed)
         state = init_market(cfg, rng)
         replay, replay_rng = copy.deepcopy(state), copy.deepcopy(rng)
-        choices = np.empty(n, dtype=np.int64)
-
-        def decide(*args):
-            kernel.decide_round(*args)
-            choices[:] = args[-1]
 
         for _ in range(cfg.rounds):
             if mode == "fashion" and state.round > 0 and state.round % 2 == 0:
                 introduce_items(state, rng)
                 introduce_items(replay, replay_rng)
-            step(state, decide=decide)
+            events = step(state)
             label = replay.round + 1
-            agents = np.flatnonzero(choices >= 0)
-            for i in agents:
-                replay.apply_consumption(int(i), int(choices[i]), label)
+            for i, a in events.tolist():
+                replay.apply_consumption(i, a, label)
             replay.round = label
             assert state.round == label
             assert_same_commits(state, replay)
@@ -322,6 +317,107 @@ class TestCommitRound:
             with pytest.raises(ValueError):
                 state.commit_round(np.array(agents), np.array(items), 1)
         assert not state.consumed.any()
+
+
+def reference_choices(state):
+    """Every agent's choice for the coming round from kernel.decide_round,
+    the full recompute (-1 = abstain)."""
+    p = state.params
+    fashion = state.mode == "fashion"
+    ads = state.advertisement if fashion else np.zeros_like(state.advertisement)
+    has_min = p.min_utility is not None
+    out = np.empty(state.n_agents, dtype=np.int64)
+    kernel.decide_round(
+        state.liking, state.tolerance, ads, engine._round_penalties(state),
+        state.nbr_counts, state.degrees, state.consumed,
+        p.gamma, not fashion or p.utility_social_blend == "liking", state.m,
+        float(p.min_utility) if has_min else 0.0, has_min, out,
+    )
+    return out
+
+
+def step_against_the_reference(state, table):
+    """step(state, table) once; assert its events are decide_round's
+    choices and the table equals one built afresh from the new state."""
+    want = reference_choices(state)
+    events = step(state, table)
+    agents = np.flatnonzero(want >= 0)
+    assert events.tolist() == np.column_stack((agents, want[agents])).tolist()
+    fresh = kernel.ScoreTable(state)
+    m = state.m
+    assert table.m == m
+    assert np.array_equal(table.scores[:, :m].view(np.int64),
+                          fresh.scores[:, :m].view(np.int64))
+    return events
+
+
+class TestScoreTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(3, 60),
+        m=st.integers(1, 6),
+        kind=st.sampled_from(["ring", "random", "small_world"]),
+        p=st.sampled_from([0.0, 0.03, 0.1, 0.4]),
+        mode=st.sampled_from(["cultural", "fashion"]),
+        gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+        blend=st.sampled_from(["liking", "literal_consumption"]),
+        liking=st.sampled_from(["zero", "uniform"]),
+        floor=st.sampled_from([None, -0.2, 0.0, 0.45]),
+        catalog_ads=st.sampled_from([0.0, 0.3]),
+    )
+    def test_matches_decide_round_every_round(self, seed, n, m, kind, p, mode,
+                                               gamma, blend, liking, floor,
+                                               catalog_ads):
+        """Random graphs with small p leave isolated agents, few items and
+        ten rounds leave agents with nothing to consume, and gamma = 1 or
+        zero ads and likings tie scores."""
+        k = 2 if n < 5 else 4
+        cfg = SimulationConfig(
+            n_agents=n, m_initial=m, rounds=10,
+            topology=TopologySpec(kind=kind, k=k, p=p),
+            params=MarketParams(
+                gamma=gamma, beta=8.0, intro_period=2, intro_ads=(0.0, 0.9),
+                catalog_ads=catalog_ads, new_item_liking=liking,
+                utility_social_blend=blend, min_utility=floor,
+            ),
+            mode=mode, seed=seed,
+        )
+        rng = rng_from(seed)
+        state = init_market(cfg, rng)
+        table = kernel.ScoreTable(state)
+        for _ in range(cfg.rounds):
+            if mode == "fashion" and state.round > 0 and state.round % 2 == 0:
+                introduce_items(state, rng)
+            step_against_the_reference(state, table)
+
+    def test_follows_the_state_when_capacity_grows(self):
+        """A state built without reserved capacity grows on every
+        introduction; the table passed to step must start over each time."""
+        rng = rng_from(41)
+        n, m = 30, 3
+        params = MarketParams(gamma=0.7, intro_batch=2, intro_ads=(0.9, 0.4),
+                              catalog_ads=0.2, new_item_liking="uniform")
+        state = MarketState(
+            params, TopologySpec(kind="random", p=0.1).build(n, rng), "fashion",
+            liking=rng.random((n, m)), tolerance=1.0 - rng.random(n),
+            advertisement=np.full(m, 0.2),
+        )
+        table = kernel.ScoreTable(state)
+        caps = {state.liking.shape[1]}
+        for r in range(12):
+            if r % 2 == 1:
+                introduce_items(state, rng)
+                caps.add(state.liking.shape[1])
+            step_against_the_reference(state, table)
+        assert len(caps) >= 3
+        assert table.scores.shape == state.liking.shape
+
+    def test_rejects_a_table_of_another_state(self):
+        a = init_market(small_config(seed=1))
+        b = init_market(small_config(seed=2))
+        with pytest.raises(ValueError, match="another MarketState"):
+            step(b, kernel.ScoreTable(a))
 
 
 def penalties_per_item(state):
@@ -535,14 +631,6 @@ class TestRunDeterminism:
             assert len(trace.event_agents[r]) == cfg.n_agents
             assert trace.counts[r].sum() == cfg.n_agents * (r + 1)
 
-    def test_explicit_backend_selection(self):
-        cfg = small_config(seed=33)
-        a = run(cfg, backend="python")
-        b = run(cfg)
-        assert np.array_equal(a.shares, b.shares)
-        with pytest.raises(ValueError):
-            run(cfg, backend="fortran")
-
 
 class TestEnsembles:
     def test_matches_manually_derived_runs(self):
@@ -565,6 +653,30 @@ class TestEnsembles:
         assert np.array_equal(one.mean_share, many.mean_share)
         assert np.array_equal(one.std_share, many.std_share)
         assert np.array_equal(one.per_run_final_share, many.per_run_final_share)
+
+    def test_jobs_one_two_three_are_bit_equal(self):
+        """Each run owns its score table and scratch buffer, so runs on
+        pool threads cannot disturb each other."""
+        cfg = small_config(
+            n_agents=150, m_initial=20, rounds=20, seed=8,
+            topology=TopologySpec(kind="random", p=0.05),
+            params=MarketParams(gamma=0.8, intro_period=3, intro_batch=2,
+                                intro_ads=(0.9, 0.2), new_item_liking="uniform",
+                                min_utility=0.1),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-round too
+        try:
+            results = [run_ensemble(cfg, runs=6, jobs=jobs) for jobs in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            for name in ("rounds", "item_ids", "advertisements", "intro_rounds",
+                         "mean_share", "std_share", "per_run_final_share",
+                         "per_run_integrated_share", "per_run_quality"):
+                a, b = getattr(results[0], name), getattr(other, name)
+                assert a.dtype == b.dtype
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
 
     def test_default_runs_without_a_thread_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

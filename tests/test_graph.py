@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fashsim import graph as graph_module
 from fashsim.graph import (
     SocialGraph,
     TopologySpec,
@@ -122,6 +123,29 @@ class TestRandom:
     @given(n=st.integers(2, 30), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
     def test_always_well_formed(self, n, p, seed):
         assert_well_formed(build_random(n, p, rng_from(seed)))
+
+    @pytest.mark.parametrize("n, p", [
+        (n, p) for n in (2, 3, 50, 300) for p in (0.0, 0.002, 0.03, 0.5, 1.0)
+    ] + [(1500, 0.0), (1500, 0.002), (1500, 0.03)])
+    def test_matches_the_row_by_row_reference(self, n, p):
+        """Same graph and same stream position as one draw per row; 1500
+        agents draw about 1.1M doubles, across several blocks."""
+        got_rng, want_rng = rng_from(n), rng_from(n)
+        got = build_random(n, p, got_rng)
+        want = oracles.random_graph_by_rows(n, p, want_rng)
+        assert got == want
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32),
+           block=st.integers(1, 80))
+    def test_any_block_size_gives_the_reference(self, n, p, seed, block):
+        got_rng, want_rng = rng_from(seed), rng_from(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_RANDOM_BLOCK", block)
+            got = build_random(n, p, got_rng)
+        assert got == oracles.random_graph_by_rows(n, p, want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestSmallWorld:
