@@ -4,7 +4,9 @@ Subcommands: run, ensemble, sweep-adv, sweep-beta, optimize. Settings come
 from (lowest to highest precedence) built-in defaults, a flat key=value
 config file (--config; '#' starts a comment), and command line flags.
 --config also accepts a previously written manifest.json, which makes any
-past invocation reproducible from its manifest alone.
+past invocation reproducible from its manifest alone. One table, _KEYS,
+lists every key with its RunSettings field, parser and flag help; a key
+not given keeps the default of the dataclass that owns its field.
 
 Every command writes three files into the output directory (--out, else
 the FASHSIM_OUT environment variable, else "out"):
@@ -28,14 +30,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__, kernel
 from .engine import (
-    DEFAULT_SEED,
     EnsembleResult,
     SimulationConfig,
     Trace,
@@ -97,14 +99,14 @@ def _parse_int(key: str, raw) -> int:
                 raise ValueError
             return int(raw)
         return int(str(raw).strip(), 10)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s: expected an integer (got %r)" % (key, raw)) from None
 
 
 def _parse_float(key: str, raw) -> float:
     try:
         v = float(raw if not isinstance(raw, str) else raw.strip())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s: expected a number (got %r)" % (key, raw)) from None
     if not math.isfinite(v):
         raise ConfigError("%s: must be finite (got %r)" % (key, raw))
@@ -130,19 +132,58 @@ def _parse_choice(key: str, raw, choices: Sequence[str]) -> str:
 
 
 def _parse_optional_float(key: str, raw) -> Optional[float]:
-    if raw is None:
-        return None
     if isinstance(raw, str) and raw.strip().lower() in ("none", ""):
         return None
     return _parse_float(key, raw)
 
 
-_CONFIG_KEYS = (
-    "agents", "items", "rounds", "mode", "topology", "k", "p",
-    "gamma", "beta", "sigmoid_center", "intro_period", "intro_batch",
-    "intro_ads", "catalog_ads", "new_item_liking", "utility_social_blend",
-    "min_utility", "runs", "seed", "grid", "objective", "jobs", "out",
-)
+def _parse_topology(key: str, raw) -> str:
+    v = str(raw).strip()
+    if v not in _TOPOLOGY_ALIASES:
+        raise ConfigError(
+            "%s: expected ring, random, or small-world (got %r)" % (key, v)
+        )
+    return _TOPOLOGY_ALIASES[v]
+
+
+def _parse_text(key: str, raw) -> str:
+    return str(raw)
+
+
+# Every config key, in the order values are parsed: its field in RunSettings
+# as a dotted path, its parser, and its flag help (None: no flag, so the key
+# is set only by a config file or manifest). A key not given keeps the
+# default of the dataclass that owns its field.
+_KEYS = {
+    "agents": ("config.n_agents", _parse_int, "number of agents"),
+    "items": ("config.m_initial", _parse_int, "initial catalog size"),
+    "rounds": ("config.rounds", _parse_int, "rounds per run"),
+    "mode": ("config.mode", partial(_parse_choice, choices=MODES),
+             "cultural or fashion"),
+    "topology": ("config.topology.kind", _parse_topology,
+                 "ring, random, or small-world"),
+    "k": ("config.topology.k", _parse_int, "ring/small-world degree (even)"),
+    "p": ("config.topology.p", _parse_float, "edge or rewiring probability"),
+    "gamma": ("config.params.gamma", _parse_float, "social pressure weight"),
+    "beta": ("config.params.beta", _parse_float, "penalty sigmoid steepness"),
+    "sigmoid_center": ("config.params.sigmoid_center", _parse_float, None),
+    "intro_period": ("config.params.intro_period", _parse_int, None),
+    "intro_batch": ("config.params.intro_batch", _parse_int, None),
+    "intro_ads": ("config.params.intro_ads", _parse_float_list, None),
+    "catalog_ads": ("config.params.catalog_ads", _parse_float, None),
+    "new_item_liking": ("config.params.new_item_liking",
+                        partial(_parse_choice, choices=NEW_ITEM_LIKINGS), None),
+    "utility_social_blend": ("config.params.utility_social_blend",
+                             partial(_parse_choice, choices=BLENDS), None),
+    "min_utility": ("config.params.min_utility", _parse_optional_float, None),
+    "runs": ("runs", _parse_int, "runs per ensemble"),
+    "seed": ("config.seed", _parse_int, "master seed (64-bit)"),
+    "grid": ("grid", _parse_float_list, "comma separated grid values"),
+    "objective": ("objective", partial(_parse_choice, choices=OBJECTIVES),
+                  "optimize target: final_share or integrated_share"),
+    "jobs": ("jobs", _parse_int, "worker thread cap"),
+    "out": ("out", _parse_text, "output directory (env FASHSIM_OUT as fallback)"),
+}
 
 
 def _read_kv_file(path: str) -> Dict[str, object]:
@@ -160,7 +201,7 @@ def _read_kv_file(path: str) -> Dict[str, object]:
             key, _, value = stripped.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
             values[key] = value
     return values
@@ -182,7 +223,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
         cfg = doc.get("config")
         if not isinstance(cfg, dict):
             raise ConfigError("config: %s has no 'config' object" % path)
-        unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+        unknown = sorted(set(cfg).difference(_KEYS))
         if unknown:
             raise ConfigError("config: unknown key %r in %s" % (unknown[0], path))
         return dict(cfg)
@@ -203,97 +244,40 @@ def parse_config(path: Optional[str],
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError("config: unknown key %r" % (key,))
         values[key] = val
 
-    n_agents = _parse_int("agents", values.get("agents", 100))
-    m_initial = _parse_int("items", values.get("items", 50))
-    rounds = _parse_int("rounds", values.get("rounds", 30))
-    mode = _parse_choice("mode", values.get("mode", "fashion"), MODES)
-    topo_raw = str(values.get("topology", "ring")).strip()
-    if topo_raw not in _TOPOLOGY_ALIASES:
-        raise ConfigError(
-            "topology: expected ring, random, or small-world (got %r)" % (topo_raw,)
-        )
-    kind = _TOPOLOGY_ALIASES[topo_raw]
-    k = _parse_int("k", values.get("k", 4))
-    p = _parse_float("p", values.get("p", 0.1))
-    gamma = _parse_float("gamma", values.get("gamma", 0.95))
-    beta = _parse_float("beta", values.get("beta", 1.0))
-    center = _parse_float("sigmoid_center", values.get("sigmoid_center", 0.5))
-    intro_period = _parse_int("intro_period", values.get("intro_period", 6))
-    intro_batch = _parse_int("intro_batch", values.get("intro_batch", 1))
-    intro_ads = _parse_float_list("intro_ads", values.get("intro_ads", (0.7,)))
-    catalog_ads = _parse_float("catalog_ads", values.get("catalog_ads", 0.0))
-    new_liking = _parse_choice("new_item_liking",
-                               values.get("new_item_liking", "zero"),
-                               NEW_ITEM_LIKINGS)
-    blend = _parse_choice("utility_social_blend",
-                          values.get("utility_social_blend", "liking"), BLENDS)
-    min_utility = _parse_optional_float("min_utility", values.get("min_utility"))
-    runs = _parse_int("runs", values.get("runs", 100))
-    seed = _parse_int("seed", values.get("seed", DEFAULT_SEED))
-    raw_grid = values.get("grid")
-    grid = _parse_float_list("grid", raw_grid) if raw_grid is not None else None
-    objective = _parse_choice("objective",
-                              values.get("objective", "final_share"), OBJECTIVES)
-    jobs = _parse_int("jobs", values.get("jobs", 1))
-    out = str(values.get("out", "out"))
-
-    if runs < 1:
-        raise ConfigError("runs: need at least 1 (got %d)" % runs)
-    if jobs < 1:
-        raise ConfigError("jobs: need at least 1 (got %d)" % jobs)
+    # Each given value is parsed once into the keyword arguments of the
+    # object that owns its field, keyed by that object's dotted path ("" is
+    # RunSettings itself).
+    kwargs: Dict[str, Dict[str, object]] = {
+        "": {}, "config": {}, "config.topology": {}, "config.params": {},
+    }
+    for key, (target, parse, _) in _KEYS.items():
+        if values.get(key) is not None:
+            owner, _, name = target.rpartition(".")
+            kwargs[owner][name] = parse(key, values[key])
+    for key in ("runs", "jobs"):
+        if kwargs[""].get(key, 1) < 1:
+            raise ConfigError("%s: need at least 1 (got %d)" % (key, kwargs[""][key]))
 
     try:
-        params = MarketParams(
-            gamma=gamma, beta=beta, sigmoid_center=center,
-            intro_period=intro_period, intro_batch=intro_batch,
-            intro_ads=intro_ads, catalog_ads=catalog_ads,
-            new_item_liking=new_liking, utility_social_blend=blend,
-            min_utility=min_utility,
-        )
-        topology = TopologySpec(kind=kind, k=k, p=p)
         config = SimulationConfig(
-            n_agents=n_agents, m_initial=m_initial, rounds=rounds,
-            topology=topology, params=params, mode=mode, seed=seed,
+            params=MarketParams(**kwargs["config.params"]),
+            topology=TopologySpec(**kwargs["config.topology"]),
+            **kwargs["config"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunSettings(config=config, runs=runs, grid=grid,
-                       objective=objective, jobs=jobs, out=out)
+    return RunSettings(config=config, **kwargs[""])
 
 
 def _settings_as_dict(settings: RunSettings, grid: Optional[Tuple[float, ...]]) -> Dict:
-    cfg = settings.config
-    par = cfg.params
-    return {
-        "agents": cfg.n_agents,
-        "items": cfg.m_initial,
-        "rounds": cfg.rounds,
-        "mode": cfg.mode,
-        "topology": cfg.topology.kind,
-        "k": cfg.topology.k,
-        "p": cfg.topology.p,
-        "gamma": par.gamma,
-        "beta": par.beta,
-        "sigmoid_center": par.sigmoid_center,
-        "intro_period": par.intro_period,
-        "intro_batch": par.intro_batch,
-        "intro_ads": list(par.intro_ads),
-        "catalog_ads": par.catalog_ads,
-        "new_item_liking": par.new_item_liking,
-        "utility_social_blend": par.utility_social_blend,
-        "min_utility": par.min_utility,
-        "runs": settings.runs,
-        "seed": cfg.seed,
-        "grid": list(grid) if grid is not None else None,
-        "objective": settings.objective,
-        "jobs": settings.jobs,
-        "out": settings.out,
-    }
+    doc = {key: reduce(getattr, target.split("."), settings)
+           for key, (target, _, _) in _KEYS.items()}
+    doc["grid"] = grid
+    return doc
 
 
 def _fmt(x: float) -> str:
@@ -560,42 +544,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text, add_help=True)
         cmd.add_argument("--config", help="key=value config file or manifest.json")
-        cmd.add_argument("--seed", type=int, help="master seed (64-bit)")
-        cmd.add_argument("--rounds", type=int, help="rounds per run")
-        cmd.add_argument("--agents", type=int, help="number of agents")
-        cmd.add_argument("--items", type=int, help="initial catalog size")
-        cmd.add_argument("--gamma", type=float, help="social pressure weight")
-        cmd.add_argument("--beta", type=float, help="penalty sigmoid steepness")
-        cmd.add_argument("--mode", help="cultural or fashion")
-        cmd.add_argument("--topology", help="ring, random, or small-world")
-        cmd.add_argument("--k", type=int, help="ring/small-world degree (even)")
-        cmd.add_argument("--p", type=float, help="edge or rewiring probability")
-        cmd.add_argument("--runs", type=int, help="runs per ensemble")
-        cmd.add_argument("--grid", help="comma separated grid values")
-        cmd.add_argument("--objective",
-                         help="optimize target: final_share or integrated_share")
-        cmd.add_argument("--out", help="output directory (env FASHSIM_OUT as fallback)")
-        cmd.add_argument("--jobs", type=int, help="worker thread cap")
+        for key, (_, _, flag_help) in _KEYS.items():
+            if flag_help is not None:
+                cmd.add_argument("--" + key, help=flag_help)
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
-    return {
-        "seed": args.seed,
-        "rounds": args.rounds,
-        "agents": args.agents,
-        "items": args.items,
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "mode": args.mode,
-        "topology": args.topology,
-        "k": args.k,
-        "p": args.p,
-        "runs": args.runs,
-        "grid": args.grid,
-        "objective": args.objective,
-        "jobs": args.jobs,
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -604,11 +556,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("missing command (try: fashsim run --help)")
-        settings = parse_config(args.config, _overrides_from_args(args))
+        overrides = {k: v for k, v in vars(args).items() if k in _KEYS}
+        settings = parse_config(args.config, overrides)
         out = args.out or os.environ.get("FASHSIM_OUT") or settings.out
-        settings = RunSettings(config=settings.config, runs=settings.runs,
-                               grid=settings.grid, objective=settings.objective,
-                               jobs=settings.jobs, out=out)
+        settings = replace(settings, out=out)
     except ConfigError as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1

@@ -1,19 +1,23 @@
 """CLI tests: config resolution, output files, byte-level reproducibility,
 manifest round-trips, and exit codes. Everything runs main() in-process."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fashsim.cli import (
+    _KEYS,
     TRACE_HEADER,
     ConfigError,
+    RunSettings,
+    _build_parser,
     _fmt,
     _peak_block,
     _trace_rows,
@@ -21,7 +25,9 @@ from fashsim.cli import (
     parse_config,
 )
 from fashsim.engine import SimulationConfig, run, run_ensemble
+from fashsim.graph import TopologySpec
 from fashsim.metrics import peak_stats, rate_series, share_series
+from fashsim.model import MarketParams
 
 CFG_TEXT = """\
 # small market for fast tests
@@ -117,6 +123,10 @@ class TestParseConfig:
             parse_config(None, {"jobs": "0"})
         with pytest.raises(ConfigError):
             parse_config(None, {"seed": "-3"})
+        with pytest.raises(ConfigError, match="agents: expected an integer"):
+            parse_config(None, {"agents": float("inf")})
+        with pytest.raises(ConfigError, match="gamma: expected a number"):
+            parse_config(None, {"gamma": 10 ** 400})
 
     def test_optional_and_list_values(self):
         st = parse_config(None, {"min_utility": "none"})
@@ -199,7 +209,7 @@ class TestRunCommand:
         assert doc["seed"] == 77
         assert doc["config"]["agents"] == 8
         assert doc["config"]["intro_ads"] == [0.7, 0.3]
-        assert doc["backend"] in ("compiled", "python")
+        assert doc["backend"] == "python"
         assert "splitmix64" in doc["seed_derivation"]
 
     def test_rerun_is_byte_identical(self, tmp_path, cfg_file):
@@ -462,6 +472,90 @@ class TestColumnwiseWriters:
         assert "4.9406564584124654e-324" in got[1]
 
 
+# Every config key set to a value other than its default.
+ALL_KEYS_TEXT = """\
+agents = 12
+items = 6
+rounds = 9
+mode = cultural
+topology = small-world
+k = 2
+p = 0.2
+gamma = 0.8
+beta = 3.5
+sigmoid_center = 0.4
+intro_period = 2
+intro_batch = 2
+intro_ads = 0.6, 0.2
+catalog_ads = 0.1
+new_item_liking = uniform
+utility_social_blend = literal_consumption
+min_utility = -0.3
+runs = 3
+seed = 1234
+grid = 0.25, 0.5
+objective = integrated_share
+jobs = 2
+out = elsewhere
+"""
+
+ALL_KEYS_SETTINGS = RunSettings(
+    config=SimulationConfig(
+        n_agents=12, m_initial=6, rounds=9, mode="cultural", seed=1234,
+        topology=TopologySpec(kind="small_world", k=2, p=0.2),
+        params=MarketParams(
+            gamma=0.8, beta=3.5, sigmoid_center=0.4, intro_period=2,
+            intro_batch=2, intro_ads=(0.6, 0.2), catalog_ads=0.1,
+            new_item_liking="uniform",
+            utility_social_blend="literal_consumption", min_utility=-0.3,
+        ),
+    ),
+    runs=3, grid=(0.25, 0.5), objective="integrated_share", jobs=2,
+    out="elsewhere",
+)
+
+FLAGS = {"--config", "--agents", "--items", "--rounds", "--mode", "--topology",
+         "--k", "--p", "--gamma", "--beta", "--runs", "--seed", "--grid",
+         "--objective", "--jobs", "--out"}
+
+
+class TestKeyTable:
+    def test_every_key_round_trips_through_the_manifest(self, tmp_path):
+        want = ALL_KEYS_SETTINGS
+        default = parse_config(None)
+        leaves = [(want, default), (want.config, default.config),
+                  (want.config.topology, default.config.topology),
+                  (want.config.params, default.config.params)]
+        unchanged = [f.name for got, base in leaves for f in fields(got)
+                     if getattr(got, f.name) == getattr(base, f.name)]
+        assert unchanged == ["tracked_intro_ad"]  # not a config key
+
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(ALL_KEYS_TEXT, encoding="utf-8")
+        assert parse_config(str(cfg)) == want
+        out = tmp_path / "o"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 0
+        back = parse_config(str(out / "manifest.json"))
+        # out and the grid are resolved per command; ensemble uses no grid.
+        assert back == replace(want, out=str(out), grid=None)
+
+    def test_each_command_has_the_same_flags(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {"run", "ensemble", "sweep-adv",
+                                    "sweep-beta", "optimize"}
+        for cmd in sub.choices.values():
+            got = {opt for a in cmd._actions for opt in a.option_strings}
+            assert got == FLAGS | {"-h", "--help"}
+
+    def test_readme_lists_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("Accepted keys", 1)[1].split("```")[1]
+        assert block.split() == list(_KEYS)
+
+
 class TestOutputResolution:
     def test_env_fallback(self, tmp_path, cfg_file, monkeypatch):
         target = tmp_path / "from_env"
@@ -510,6 +604,25 @@ class TestExitCodes:
         main(["run", "--config", cfg_file, "--gamma", "7"])
         err = capsys.readouterr().err
         assert "gamma" in err
+
+    def test_flag_and_file_values_share_one_message(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("agents = x\n", encoding="utf-8")
+        assert main(["run", "--agents", "x"]) == 1
+        from_flag = capsys.readouterr().err
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == from_flag
+        assert from_flag == "fashsim: error: agents: expected an integer (got 'x')\n"
+
+    def test_overflowing_manifest_values_are_exit_1(self, tmp_path, capsys):
+        for text, key in (('{"config": {"agents": Infinity}}', "agents"),
+                          ('{"config": {"agents": 1e999}}', "agents"),
+                          ('{"config": {"gamma": 1%s}}' % ("0" * 400), "gamma")):
+            path = tmp_path / "manifest.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith("fashsim: error: %s:" % key)
 
 
 class TestEntryPoint:
