@@ -105,6 +105,8 @@ def _parse_int(key: str, raw) -> int:
 
 def _parse_float(key: str, raw) -> float:
     try:
+        if isinstance(raw, bool):  # a JSON true/false is not a number
+            raise ValueError
         v = float(raw if not isinstance(raw, str) else raw.strip())
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s: expected a number (got %r)" % (key, raw)) from None
@@ -146,8 +148,11 @@ def _parse_topology(key: str, raw) -> str:
     return _TOPOLOGY_ALIASES[v]
 
 
-def _parse_text(key: str, raw) -> str:
-    return str(raw)
+def _parse_path(key: str, raw) -> str:
+    v = str(raw)
+    if not v.strip():
+        raise ConfigError("%s: expected a directory path (got %r)" % (key, raw))
+    return v
 
 
 # Every config key, in the order values are parsed: its field in RunSettings
@@ -182,7 +187,7 @@ _KEYS = {
     "objective": ("objective", partial(_parse_choice, choices=OBJECTIVES),
                   "optimize target: final_share or integrated_share"),
     "jobs": ("jobs", _parse_int, "worker thread cap"),
-    "out": ("out", _parse_text, "output directory (env FASHSIM_OUT as fallback)"),
+    "out": ("out", _parse_path, "output directory (env FASHSIM_OUT as fallback)"),
 }
 
 

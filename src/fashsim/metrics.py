@@ -35,7 +35,9 @@ def gini(values: Sequence[float]) -> float:
     Defined as sum_ij |x_i - x_j| / (2 * m * sum(x)). Computed via the
     sorted-rank identity sum_i (2i - m - 1) * x_(i) / (m * sum(x)), which
     is algebraically the same thing in O(m log m). 0 means perfectly even,
-    (m-1)/m means one holder owns everything. All-zero input is rejected:
+    (m-1)/m means one holder owns everything. Rounding can carry the sum a
+    few ulps past either bound (equal values give about -1e-17), so the
+    result is clamped into [0, (m-1)/m]. All-zero input is rejected:
     inequality of nothing is undefined.
     """
     x = np.asarray(values, dtype=np.float64)
@@ -49,7 +51,8 @@ def gini(values: Sequence[float]) -> float:
     m = len(x)
     ranks = np.arange(1, m + 1, dtype=np.float64)
     ordered = np.sort(x)
-    return float(((2.0 * ranks - m - 1.0) * ordered).sum() / (m * total))
+    g = float(((2.0 * ranks - m - 1.0) * ordered).sum() / (m * total))
+    return min(max(g, 0.0), (m - 1) / m)
 
 
 def quality_share_correlation(

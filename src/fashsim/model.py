@@ -8,8 +8,8 @@ per-round counters the engine maintains; tests lean on that independence.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,9 @@ __all__ = [
     "MarketParams",
     "Agent",
     "Item",
+    "MarketBatch",
     "MarketState",
+    "shared_params",
     "social_pressure",
     "opinion",
     "marketing_effect",
@@ -124,26 +126,232 @@ class Item:
     consumption_count: int
 
 
-class MarketState:
-    """Mutable simulation state: who likes, tolerates, and consumed what.
+def shared_params(params: MarketParams) -> MarketParams:
+    """params with the fields that may differ between the runs of one
+    MarketBatch (gamma, beta, tracked_intro_ad) reset: runs whose shared
+    params are equal may step as one batch."""
+    return replace(params, gamma=0.0, beta=1.0, tracked_intro_ad=None)
+
+
+class MarketBatch:
+    """Markets of one shape stepped together as one market of many agents.
+
+    Run b owns agent rows b * run_size to (b + 1) * run_size - 1 of every
+    per-agent array (liking, tolerance, consumed, consumed_round,
+    nbr_counts, degrees), and ``graph`` is the disjoint union of the runs'
+    graphs, so no edge joins two runs. ``counts`` and ``advertisement`` are
+    (runs, capacity); ``intro_rounds``, ``m`` and ``round`` are shared.
+    ``run_params[b]`` is run b's MarketParams: the runs differ at most in
+    gamma, beta and tracked_intro_ad (see shared_params), and ``params`` is
+    run 0's.
 
     Arrays are sized to a capacity that may exceed the live item count
-    (column m and beyond are reserved for future introductions); ``m`` is
-    the number of live items. ``m_initial`` remembers the catalog size so
-    introduced items can be told apart.
+    (column m and beyond are reserved for future introductions);
+    ``m_initial`` remembers the catalog size so introduced items can be
+    told apart. ``counts`` and ``nbr_counts`` are running caches (consumers
+    per item; per-agent count of neighbours who consumed each item) that
+    ``commit_round`` updates once per round.
 
-    ``counts`` and ``nbr_counts`` are running caches (total consumers per
-    item; per-agent count of neighbors who consumed each item). The engine
-    updates them once per round with ``commit_round``; ``apply_consumption``
-    is the scalar one-event form that tests replay as the reference. Both
-    keep them consistent with the ``consumed`` matrix.
+    A MarketState is a batch of one run whose ``counts`` and
+    ``advertisement`` have no run axis; the methods here index them as
+    ``[..., :m]`` or flatten them, so they serve both.
     """
 
     __slots__ = (
-        "params", "graph", "mode", "round", "m", "m_initial",
-        "liking", "tolerance", "advertisement", "intro_rounds",
-        "consumed", "consumed_round", "counts", "nbr_counts", "degrees",
+        "params", "run_params", "runs", "run_size", "graph", "mode", "round",
+        "m", "m_initial", "liking", "tolerance", "advertisement", "intro_rounds",
+        "consumed", "consumed_round", "counts", "nbr_counts", "degrees", "_sigmoid",
     )
+
+    @classmethod
+    def stack(cls, states: Iterable["MarketState"], runs: int) -> "MarketBatch":
+        """One batch of `runs` single-run states, run b the b-th state.
+
+        The states must agree in size, capacity, mode, round, live items,
+        introduction rounds and shared params. Each is copied in as it
+        comes and left as it was, so a generator of states keeps only one
+        of them alive at a time.
+        """
+        it = iter(states)
+        s = next(it)
+
+        def shape(s):
+            return (s.liking.shape, s.mode, s.round, s.m, s.m_initial,
+                    shared_params(s.params), s.intro_rounds.tobytes())
+
+        key = shape(s)
+        n = s.n_agents
+        self = cls.__new__(cls)
+        self.params = s.params
+        self.runs, self.run_size = runs, n
+        self.mode, self.round, self.m, self.m_initial = s.mode, s.round, s.m, s.m_initial
+        self.intro_rounds = s.intro_rounds.copy()
+        per_agent = ("liking", "tolerance", "consumed", "consumed_round", "nbr_counts",
+                     "degrees")
+        for name in per_agent:
+            a = getattr(s, name)
+            setattr(self, name, np.empty((runs * n,) + a.shape[1:], dtype=a.dtype))
+        self.advertisement = np.empty((runs,) + s.advertisement.shape)
+        self.counts = np.empty((runs,) + s.counts.shape, dtype=np.int64)
+        run_params, offsets, targets, edges = [], [np.zeros(1, dtype=np.int64)], [], 0
+        for b in range(runs):
+            if b:
+                s = next(it)
+                if shape(s) != key:
+                    raise ValueError("states: a batch needs markets of one shape")
+            for name in per_agent:
+                getattr(self, name)[b * n:(b + 1) * n] = getattr(s, name)
+            self.advertisement[b] = s.advertisement
+            self.counts[b] = s.counts
+            run_params.append(s.params)
+            offsets.append(s.graph.offsets[1:] + edges)
+            targets.append(s.graph.targets + b * n)
+            edges += len(s.graph.targets)
+        self.run_params = tuple(run_params)
+        self.graph = SocialGraph(runs * n, np.concatenate(offsets), np.concatenate(targets))
+        self._sigmoid = None
+        return self
+
+    @property
+    def n_agents(self) -> int:
+        """Agent rows over all runs."""
+        return self.graph.n
+
+    @property
+    def n_items(self) -> int:
+        return self.m
+
+    def commit_round(self, agents: np.ndarray, items: np.ndarray,
+                     round_no: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Commit one round's consumptions together: agents[k] consumed items[k].
+
+        Agents are rows over all runs and must be strictly ascending (one
+        consumption per agent per round). Every cache update is an integer
+        add or store, so the result equals applying each pair with
+        ``MarketState.apply_consumption``, in any order. The whole batch is
+        validated before anything is written.
+
+        Returns (rows, cols): the ``nbr_counts`` cells it incremented, one
+        entry per increment, so callers that cache scores can refresh just
+        those cells.
+        """
+        agents = np.asarray(agents, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if agents.ndim != 1 or agents.shape != items.shape:
+            raise ValueError("agents, items: expected two 1-d arrays of equal length")
+        if len(agents) == 0:
+            return agents, items
+        if agents[0] < 0 or agents[-1] >= self.n_agents or np.any(agents[1:] <= agents[:-1]):
+            raise ValueError("agents: expected strictly ascending ids in [0, %d)"
+                             % self.n_agents)
+        if items.min() < 0 or items.max() >= self.m:
+            raise ValueError("items: ids must be in [0, %d)" % self.m)
+        seen = self.consumed[agents, items] != 0
+        if seen.any():
+            k = int(np.argmax(seen))
+            raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
+
+        self.consumed[agents, items] = 1
+        self.consumed_round[agents, items] = round_no
+        cap = self.consumed.shape[1]
+        # counts flattened: run r's item a is r * cap + a (on a MarketState
+        # every agent is in run 0, so the index is the item id).
+        counts = self.counts.reshape(-1)
+        counts += np.bincount(agents // self.run_size * cap + items, minlength=counts.size)
+        # Neighbour rows of the consumers, gathered from the CSR arrays, and
+        # each consumer's item repeated once per neighbour.
+        offsets = self.graph.offsets
+        starts = offsets[agents]
+        lens = offsets[agents + 1] - starts
+        ends = np.cumsum(lens)
+        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        targets = self.graph.targets[pos]
+        cols = np.repeat(items, lens)
+        # nbr_counts is allocated C-contiguous (stack, __init__ and _grow), so
+        # the reshape is a view and the flat scatter lands in it.
+        np.add.at(self.nbr_counts.reshape(-1), targets * cap + cols, 1)
+        return targets, cols
+
+    def penalties(self) -> np.ndarray:
+        """Every live item's saturation penalty for the coming round, one
+        row per run (no run axis on a MarketState): the ``penalty`` of the
+        item's share counts / run_size, bit for bit.
+
+        The sigmoid comes from a table over counts 0..run_size, one row per
+        distinct beta, whose entries the scalar ``sigmoid`` fills the first
+        time a count needs them; so a large market never pays run_size + 1
+        calls up front.
+        """
+        if self._sigmoid is None:
+            betas, row = np.unique([p.beta for p in self.run_params], return_inverse=True)
+            row = row.reshape(self.counts.shape[:-1] + (1,))
+            self._sigmoid = (betas.tolist(), row,
+                             np.full((len(betas), self.run_size + 1), np.nan))
+        betas, row, table = self._sigmoid
+        counts = self.counts[..., :self.m]
+        values = table[row, counts]
+        missing = np.isnan(values)
+        if missing.any():
+            n, center = self.run_size, self.params.sigmoid_center
+            rows = np.broadcast_to(row, counts.shape)[missing].tolist()
+            for r, k in set(zip(rows, counts[missing].tolist())):
+                table[r, k] = sigmoid(k / n, betas[r], center)
+            values = table[row, counts]
+        return values * self.advertisement[..., :self.m]
+
+    def append_items(
+        self,
+        advertisements: Sequence[float],
+        likings: np.ndarray,
+        intro_round: int,
+    ) -> Tuple[int, ...]:
+        """Add items with the given ads and per-agent likings; return new ids.
+
+        advertisements holds one level per new item, the same in every run,
+        or one row of levels per run.
+        """
+        ads = np.asarray(advertisements, dtype=np.float64)
+        b = ads.shape[-1]
+        likings = np.asarray(likings, dtype=np.float64)
+        if likings.shape != (self.n_agents, b):
+            raise ValueError("likings: expected shape (%d, %d)" % (self.n_agents, b))
+        if b and (likings.min() < 0.0 or likings.max() > 1.0):
+            raise ValueError("likings: values must be in [0, 1]")
+        for adv in ads.reshape(-1).tolist():
+            _check_advertisement(adv, "advertisement")
+        if self.m + b > self.liking.shape[1]:
+            self._grow(self.m + b)
+        lo, hi = self.m, self.m + b
+        self.liking[:, lo:hi] = likings
+        self.advertisement[..., lo:hi] = ads
+        self.intro_rounds[lo:hi] = intro_round
+        self.m = hi
+        return tuple(range(lo, hi))
+
+    def _grow(self, need: int) -> None:
+        cap = self.liking.shape[1]
+        new_cap = max(need, cap * 2, cap + 4)
+        for name, fill in (("liking", 0.0), ("advertisement", 0.0), ("intro_rounds", 0),
+                           ("consumed", 0), ("consumed_round", -1), ("counts", 0),
+                           ("nbr_counts", 0)):
+            old = getattr(self, name)
+            new = np.full(old.shape[:-1] + (new_cap,), fill, dtype=old.dtype)
+            new[..., :cap] = old
+            setattr(self, name, new)
+
+
+class MarketState(MarketBatch):
+    """Mutable simulation state of one run: who likes, tolerates, and
+    consumed what.
+
+    A batch of one (see MarketBatch): ``counts``, ``advertisement`` and
+    ``intro_rounds`` are per-item vectors, and the scalar accessors below
+    read one agent or item. ``apply_consumption`` is the scalar one-event
+    form of ``commit_round`` that tests replay as the reference; both keep
+    the caches consistent with the ``consumed`` matrix.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -189,6 +397,9 @@ class MarketState:
 
         cap = max(m, capacity if capacity is not None else m)
         self.params = params
+        self.run_params = (params,)
+        self.runs = 1
+        self.run_size = n
         self.graph = graph
         self.mode = mode
         self.round = 0
@@ -206,14 +417,7 @@ class MarketState:
         self.counts = np.zeros(cap, dtype=np.int64)
         self.nbr_counts = np.zeros((n, cap), dtype=np.int64)
         self.degrees = np.ascontiguousarray(graph.degrees, dtype=np.int64)
-
-    @property
-    def n_agents(self) -> int:
-        return self.graph.n
-
-    @property
-    def n_items(self) -> int:
-        return self.m
+        self._sigmoid = None
 
     def agent(self, agent_id: int) -> Agent:
         _check_agent(self, agent_id)
@@ -262,99 +466,6 @@ class MarketState:
         self.counts[a] += 1
         nbrs = self.graph.neighbor_array(i)
         self.nbr_counts[nbrs, a] += 1
-
-    def commit_round(self, agents: np.ndarray, items: np.ndarray,
-                     round_no: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Commit one round's consumptions together: agents[k] consumed items[k].
-
-        Agents must be strictly ascending (one consumption per agent per
-        round). Every cache update is an integer add or store, so the result
-        equals applying each pair with ``apply_consumption``, in any order.
-        The whole batch is validated before anything is written.
-
-        Returns (rows, cols): the ``nbr_counts`` cells it incremented, one
-        entry per increment, so callers that cache scores can refresh just
-        those cells.
-        """
-        agents = np.asarray(agents, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if agents.ndim != 1 or agents.shape != items.shape:
-            raise ValueError("agents, items: expected two 1-d arrays of equal length")
-        if len(agents) == 0:
-            return agents, items
-        if agents[0] < 0 or agents[-1] >= self.n_agents or np.any(agents[1:] <= agents[:-1]):
-            raise ValueError("agents: expected strictly ascending ids in [0, %d)"
-                             % self.n_agents)
-        if items.min() < 0 or items.max() >= self.m:
-            raise ValueError("items: ids must be in [0, %d)" % self.m)
-        seen = self.consumed[agents, items] != 0
-        if seen.any():
-            k = int(np.argmax(seen))
-            raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
-
-        self.consumed[agents, items] = 1
-        self.consumed_round[agents, items] = round_no
-        cap = self.counts.shape[0]
-        self.counts += np.bincount(items, minlength=cap)
-        # Neighbour rows of the consumers, gathered from the CSR arrays, and
-        # each consumer's item repeated once per neighbour.
-        offsets = self.graph.offsets
-        starts = offsets[agents]
-        lens = offsets[agents + 1] - starts
-        ends = np.cumsum(lens)
-        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-        targets = self.graph.targets[pos]
-        cols = np.repeat(items, lens)
-        # nbr_counts is allocated C-contiguous (here and in _grow), so the
-        # reshape is a view and the flat scatter lands in it.
-        np.add.at(self.nbr_counts.reshape(-1), targets * cap + cols, 1)
-        return targets, cols
-
-    def append_items(
-        self,
-        advertisements: Sequence[float],
-        likings: np.ndarray,
-        intro_round: int,
-    ) -> Tuple[int, ...]:
-        """Add items with the given ads and per-agent likings; return new ids."""
-        b = len(advertisements)
-        likings = np.asarray(likings, dtype=np.float64)
-        if likings.shape != (self.n_agents, b):
-            raise ValueError("likings: expected shape (%d, %d)" % (self.n_agents, b))
-        if b and (likings.min() < 0.0 or likings.max() > 1.0):
-            raise ValueError("likings: values must be in [0, 1]")
-        for adv in advertisements:
-            _check_advertisement(adv, "advertisement")
-        if self.m + b > self.liking.shape[1]:
-            self._grow(self.m + b)
-        ids = tuple(range(self.m, self.m + b))
-        for off, a in enumerate(ids):
-            self.liking[:, a] = likings[:, off]
-            self.advertisement[a] = advertisements[off]
-            self.intro_rounds[a] = intro_round
-        self.m += b
-        return ids
-
-    def _grow(self, need: int) -> None:
-        cap = self.liking.shape[1]
-        new_cap = max(need, cap * 2, cap + 4)
-        n = self.n_agents
-
-        def wider(arr, fill, dtype):
-            out = np.full((n, new_cap) if arr.ndim == 2 else (new_cap,), fill, dtype=dtype)
-            if arr.ndim == 2:
-                out[:, :cap] = arr
-            else:
-                out[:cap] = arr
-            return out
-
-        self.liking = wider(self.liking, 0.0, np.float64)
-        self.advertisement = wider(self.advertisement, 0.0, np.float64)
-        self.intro_rounds = wider(self.intro_rounds, 0, np.int64)
-        self.consumed = wider(self.consumed, 0, np.uint8)
-        self.consumed_round = wider(self.consumed_round, -1, np.int64)
-        self.counts = wider(self.counts, 0, np.int64)
-        self.nbr_counts = wider(self.nbr_counts, 0, np.int64)
 
 
 def _check_advertisement(a: float, name: str = "advertisement") -> None:

@@ -3,6 +3,8 @@
 A sweep evaluates an independent ensemble at every grid value. Grid point
 i is seeded by derive_seed(master, i), and each point's runs reseed from
 that, so results never depend on grid order or execution interleaving.
+All points' runs go through one engine.run_ensembles call, so runs of
+neighbouring points of one shape step together in one batch.
 
 Advertisement sweeps vary one item: the first introduced fashion item
 (the "tracked" item, id m_initial, entering after intro_period rounds).
@@ -16,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensemble
+from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -106,15 +108,16 @@ class SweepResult:
 def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the ensemble at every grid value, in grid order.
 
-    jobs caps each ensemble's worker threads (default 1, no thread pool).
+    jobs caps the worker threads, which map over batches of runs (default
+    1, no thread pool).
     """
-    points = []
-    for idx, value in enumerate(spec.grid):
-        seed = derive_seed(spec.base.seed, idx)
-        cfg = _apply(spec.base, spec.parameter, value, seed)
-        ens = run_ensemble(cfg, spec.runs, jobs=jobs)
-        points.append(SweepPoint(value=float(value), seed=seed, ensemble=ens))
-    return SweepResult(spec=spec, points=tuple(points))
+    seeds = [derive_seed(spec.base.seed, idx) for idx in range(len(spec.grid))]
+    configs = [_apply(spec.base, spec.parameter, value, seed)
+               for value, seed in zip(spec.grid, seeds)]
+    ensembles = run_ensembles(configs, spec.runs, jobs=jobs)
+    points = tuple(SweepPoint(value=float(value), seed=seed, ensemble=ens)
+                   for value, seed, ens in zip(spec.grid, seeds, ensembles))
+    return SweepResult(spec=spec, points=points)
 
 
 def tracked_item_id(config: SimulationConfig) -> int:
@@ -161,8 +164,8 @@ def optimize_advertisement(
     objective "final_share" scores each grid value by the tracked item's
     mean final share; "integrated_share" by its share summed over all
     recorded rounds. A* is the pure argmax of the emitted table, ties
-    resolved toward the smallest advertisement value. jobs caps each
-    ensemble's worker threads (default 1, no thread pool).
+    resolved toward the smallest advertisement value. jobs caps the
+    worker threads, as in sweep (default 1, no thread pool).
     """
     if objective not in OBJECTIVES:
         raise ValueError(

@@ -624,6 +624,31 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err.startswith("fashsim: error: %s:" % key)
 
+    def test_boolean_numbers_are_exit_1(self, tmp_path, capsys):
+        for text, key in (('{"config": {"gamma": true}}', "gamma"),
+                          ('{"config": {"p": false}}', "p"),
+                          ('{"config": {"min_utility": true}}', "min_utility"),
+                          ('{"config": {"intro_ads": [0.5, true]}}', "intro_ads")):
+            path = tmp_path / "manifest.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError, match="%s: expected a number" % key):
+                parse_config(str(path))
+            assert main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith("fashsim: error: %s:" % key)
+
+    def test_an_empty_out_is_exit_1(self, tmp_path, cfg_file, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FASHSIM_OUT", str(tmp_path / "env"))
+        cfg = tmp_path / "empty_out.cfg"
+        cfg.write_text(open(cfg_file, encoding="utf-8").read() + "out =\n", encoding="utf-8")
+        for argv in (["run", "--config", str(cfg)],
+                     ["run", "--config", cfg_file, "--out", ""],
+                     ["run", "--config", cfg_file, "--out", "  "]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("fashsim: error: out:")
+        assert not (tmp_path / "env").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_reports_the_version(self):

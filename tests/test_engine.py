@@ -23,7 +23,8 @@ from fashsim.engine import (
     step,
 )
 from fashsim.graph import SocialGraph, TopologySpec, build_ring
-from fashsim.model import MarketParams, MarketState, sigmoid
+from fashsim.model import MarketBatch, MarketParams, MarketState, sigmoid
+from fashsim.sweep import SweepSpec, _apply, sweep
 
 
 def rng_from(seed):
@@ -706,3 +707,180 @@ class TestEnsembles:
         a = run_ensemble(small_config(seed=1), runs=3, jobs=1)
         b = run_ensemble(small_config(seed=2), runs=3, jobs=1)
         assert not np.array_equal(a.mean_share, b.mean_share)
+
+
+def bits(a):
+    """An array's dtype, shape and bytes, for bit-for-bit comparison."""
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def batch_base(kind, mode, blend, liking, floor, n=12):
+    return SimulationConfig(
+        n_agents=n, m_initial=5, rounds=8,
+        topology=TopologySpec(kind=kind, k=4, p=0.25),
+        params=MarketParams(
+            gamma=0.8, beta=6.0, intro_period=2, intro_batch=2,
+            intro_ads=(0.9, 0.2, 0.5), catalog_ads=0.3, new_item_liking=liking,
+            utility_social_blend=blend, min_utility=floor,
+        ),
+        mode=mode, seed=23,
+    )
+
+
+SWEEP_GRIDS = {
+    "advertisement": (0.0, 0.45, 1.0),
+    "beta": (0.5, 6.0, 40.0),
+    "gamma": (0.0, 0.6, 0.95),
+    "n_agents": (10, 13),
+}
+
+
+class TestBatches:
+    """Runs stepped together in one batch give, bit for bit, what each
+    gives stepped alone by run()."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["ring", "random", "small_world"]),
+        mode=st.sampled_from(["cultural", "fashion"]),
+        blend=st.sampled_from(["liking", "literal_consumption"]),
+        liking=st.sampled_from(["zero", "uniform"]),
+        floor=st.sampled_from([None, 0.4]),
+        parameter=st.sampled_from(sorted(SWEEP_GRIDS)),
+        runs=st.integers(1, 4),
+        budget_runs=st.integers(1, 5),
+        jobs=st.sampled_from([1, 3]),
+    )
+    def test_every_swept_run_matches_a_lone_run(self, kind, mode, blend, liking,
+                                                floor, parameter, runs,
+                                                budget_runs, jobs):
+        """The work list is cut under a budget of budget_runs runs, so
+        batches split each sweep and may straddle two grid points."""
+        base = batch_base(kind, mode, blend, liking, floor)
+        if mode == "cultural" and parameter == "advertisement":
+            parameter = "beta"  # no tracked item without introductions
+        spec = SweepSpec(base, parameter, SWEEP_GRIDS[parameter], runs=runs)
+        batches = []
+
+        def recording(batch):
+            batches.append([point for point, _, _ in batch])
+            return run_batch(batch)
+
+        run_batch = engine._run_batch
+        cells = base.n_agents * engine._final_item_count(base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "BATCH_CELLS", budget_runs * cells)
+            mp.setattr(engine, "_run_batch", recording)
+            result = sweep(spec, jobs=jobs)
+
+        assert sum(map(len, batches)) == runs * len(spec.grid)
+        if parameter == "n_agents":
+            assert all(len(set(b)) == 1 for b in batches)
+        else:
+            assert max(map(len, batches)) == min(budget_runs, runs * len(spec.grid))
+        for pt in result.points:
+            cfg = _apply(base, parameter, pt.value, pt.seed)
+            traces = [run(replace(cfg, seed=derive_seed(pt.seed, i))) for i in range(runs)]
+            shares = np.stack([t.shares for t in traces])
+            ens = pt.ensemble
+            assert bits(ens.mean_share) == bits(shares.mean(axis=0))
+            assert bits(ens.std_share) == bits(shares.std(axis=0))
+            assert bits(ens.per_run_final_share) == bits(shares[:, -1, :])
+            assert bits(ens.per_run_integrated_share) == bits(shares.sum(axis=1))
+            assert bits(ens.per_run_quality) == bits(np.stack([t.quality for t in traces]))
+            for name in ("rounds", "item_ids", "advertisements", "intro_rounds"):
+                assert bits(getattr(ens, name)) == bits(getattr(traces[0], name)), name
+
+    @pytest.mark.parametrize("kind", ["ring", "random", "small_world"])
+    @pytest.mark.parametrize("mode", ["cultural", "fashion"])
+    def test_mixed_runs_leave_the_same_state(self, kind, mode):
+        """Different seeds, gammas, betas and tracked ads in one batch: each
+        run's block of the batch's final arrays equals its lone market's."""
+        base = batch_base(kind, mode, "liking", "uniform", 0.1, n=15)
+        configs = [
+            replace(base, seed=s, params=replace(base.params, gamma=g, beta=b,
+                                                 tracked_intro_ad=a))
+            for s, g, b, a in [(1, 0.8, 6.0, None), (2, 0.0, 0.5, 1.0),
+                               (3, 1.0, 40.0, 0.0), (4, 0.35, 6.0, 0.7)]
+        ]
+        batch, counts, _ = engine._simulate(configs)
+        assert isinstance(batch, MarketBatch) and batch.runs == 4
+        n = base.n_agents
+        for b, cfg in enumerate(configs):
+            lone, lone_counts, _ = engine._simulate([cfg])
+            assert isinstance(lone, MarketState)
+            assert bits(counts[b]) == bits(lone_counts[0])
+            rows = slice(b * n, (b + 1) * n)
+            for name in ("liking", "tolerance", "consumed", "consumed_round",
+                         "nbr_counts", "degrees"):
+                assert bits(getattr(batch, name)[rows]) == bits(getattr(lone, name)), name
+            assert bits(batch.counts[b]) == bits(lone.counts)
+            assert bits(batch.advertisement[b]) == bits(lone.advertisement)
+            assert bits(batch.intro_rounds) == bits(lone.intro_rounds)
+
+    def test_a_batch_steps_like_its_runs_round_by_round(self):
+        """step on a stacked batch commits, per run, the events step gives
+        on each run alone, with agent rows offset by the run's block."""
+        configs = [small_config(n_agents=9, seed=s,
+                                params=MarketParams(gamma=g, beta=b, intro_period=2))
+                   for s, g, b in [(1, 0.9, 1.0), (2, 0.2, 12.0), (3, 0.9, 3.0)]]
+        lone = [init_market(c) for c in configs]
+        batch = MarketBatch.stack(lone, 3)
+        rngs = [rng_from(c.seed) for c in configs]
+        for _ in range(configs[0].rounds):
+            if batch.round > 0 and batch.round % 2 == 0:
+                introduce_items(batch, rngs)
+                for s in lone:
+                    introduce_items(s)
+            got = step(batch)
+            want = [step(s) + [b * 9, 0] for b, s in enumerate(lone)]
+            assert got.tolist() == np.concatenate(want).tolist()
+            assert batch.round == lone[0].round
+
+    def test_step_on_a_lone_state_uses_its_own_arrays(self):
+        state = init_market(small_config())
+        arrays = [state.liking, state.counts, state.nbr_counts, state.consumed]
+        table = kernel.ScoreTable(state)
+        step(state, table)
+        assert table.state is state
+        assert all(a is b for a, b in zip(arrays, [state.liking, state.counts,
+                                                    state.nbr_counts, state.consumed]))
+        assert state.counts.sum() > 0
+
+    def test_stack_rejects_markets_of_another_shape(self):
+        a = init_market(small_config(seed=1))
+        for other in (small_config(seed=2, n_agents=7), small_config(seed=2, mode="cultural"),
+                      small_config(seed=2, params=MarketParams(intro_period=3))):
+            with pytest.raises(ValueError, match="one shape"):
+                MarketBatch.stack([a, init_market(other)], 2)
+        moved = init_market(small_config(seed=2))
+        step(moved)
+        with pytest.raises(ValueError, match="one shape"):
+            MarketBatch.stack([a, moved], 2)
+
+    def test_only_a_ring_may_be_shared(self):
+        ring = build_ring(6, 2)
+        assert init_market(small_config(), graph=ring).graph is ring
+        with pytest.raises(ValueError):
+            init_market(small_config(topology=TopologySpec(kind="random", p=0.3)), graph=ring)
+        with pytest.raises(ValueError):
+            init_market(small_config(n_agents=7), graph=ring)
+
+    def test_uniform_introductions_need_one_generator_per_run(self):
+        cfg = small_config(params=MarketParams(intro_period=2, new_item_liking="uniform"))
+        batch = MarketBatch.stack([init_market(cfg), init_market(replace(cfg, seed=8))], 2)
+        with pytest.raises(ValueError, match="one generator per run"):
+            introduce_items(batch, [rng_from(1)])
+
+    def test_the_budget_cuts_the_work_list_in_order(self, monkeypatch):
+        cfg = small_config()
+        cells = cfg.n_agents * engine._final_item_count(cfg)
+        monkeypatch.setattr(engine, "BATCH_CELLS", 3 * cells)
+        work = [(p, i, c) for p, c in enumerate(
+            [cfg, replace(cfg, params=replace(cfg.params, gamma=0.1)),
+             replace(cfg, n_agents=8)]) for i in range(2)]
+        cut = [[w[:2] for w in b] for b in engine._batches(work)]
+        assert cut == [[(0, 0), (0, 1), (1, 0)], [(1, 1)], [(2, 0), (2, 1)]]
+        monkeypatch.setattr(engine, "BATCH_CELLS", cells - 1)
+        assert [len(b) for b in engine._batches(work)] == [1] * 6
