@@ -18,7 +18,9 @@ trace.csv for run/ensemble carries the columns
   round,item_id,advertisement,intro_round,share_mean,share_std,consumption_rate_mean
 and sweep/optimize prepend a grid_value column. Floats are serialized with
 17 significant digits ('.17g', which round-trips every float64), so
-identical invocations produce identical bytes.
+identical invocations produce identical bytes. summary.json and
+manifest.json are json.dumps(payload, indent=2, sort_keys=True) and a
+newline.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime
 failure (e.g. unwritable output directory).
@@ -32,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -290,19 +293,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# The three float columns use '%.17g', which for a Python float gives the
-# same text as _fmt (including -0, nan and inf).
-_ROW_FORMAT = "%s,%s,%.17g,%.17g,%.17g"
+def _float_cells(col):
+    """One trace.csv float column as '%' arguments, and its row field.
+
+    A column with at most half its cells distinct (by float64 bit pattern,
+    so -0.0 and each NaN keep their spelling) formats each distinct value
+    once and passes the texts to '%s'; otherwise the floats go straight to
+    '%.17g', which for a Python float gives the same text as _fmt.
+    """
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return col.tolist(), "%.17g"
+    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(texts[:-1], dtype=object)[inverse].tolist(), "%s"
 
 
 def _trace_rows(rounds, item_ids, ads, intros, mean, std,
-                grid_value: Optional[float] = None) -> List[str]:
-    """trace.csv data lines, round-major, without line terminators.
+                grid_value: Optional[float] = None) -> str:
+    """trace.csv data lines, round-major, as one text block ('' if none).
 
     An item introduced at round r first trades in round r + 1, so it has no
     line before that. The per-round and per-item cells are formatted once
-    each and the float columns in one pass over the live cells; grid_value,
-    if given, becomes a leading grid_value cell.
+    each; the block is one '%' over the live cells, five per line, laid out
+    by slice assignment. grid_value, if given, becomes a leading grid_value
+    cell.
     """
     rounds = np.asarray(rounds)
     intros = np.asarray(intros)
@@ -313,20 +327,76 @@ def _trace_rows(rounds, item_ids, ads, intros, mean, std,
         ["%d,%s,%d" % (a, _fmt(ad), i) for a, ad, i in
          zip(np.asarray(item_ids).tolist(), np.asarray(ads).tolist(), intros.tolist())],
         dtype=object)
+    mean = np.asarray(mean, dtype=np.float64)
     rates = np.diff(mean, axis=0, prepend=0.0)
-    return list(map(_ROW_FORMAT.__mod__, zip(
-        round_cells[ri].tolist(), item_cells[ci].tolist(),
-        mean[ri, ci].tolist(), std[ri, ci].tolist(), rates[ri, ci].tolist())))
+    cells = [None] * (5 * len(ri))
+    cells[0::5] = round_cells[ri].tolist()
+    cells[1::5] = item_cells[ci].tolist()
+    fields = ["%s", "%s"]
+    for k, table in enumerate((mean, np.asarray(std, dtype=np.float64), rates), 2):
+        cells[k::5], field = _float_cells(table[ri, ci])
+        fields.append(field)
+    return (",".join(fields) + "\n") * len(ri) % tuple(cells)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[str]) -> None:
+def _write_csv(path: str, header: Sequence[str], blocks: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *rows, ""]))
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _json_text(obj, indent: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) spells it, at the
+    nesting whose line break and indentation is indent. Raises TypeError on
+    anything but str-keyed dicts, lists, tuples and JSON scalars (a non-str
+    key fails in encode_basestring_ascii)."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(type(obj).__name__)
+
+
+def _json_dumps(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), the same text.
+
+    With indent set, json runs its pure-Python encoder; this writes each
+    container in one join instead. Any payload it does not cover (non-str
+    keys, other types, cycles) goes to json.dumps itself, so that output
+    and errors stay json's.
+    """
+    try:
+        return _json_text(payload, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_dumps(payload) + "\n")
 
 
 def _peak_block(obj) -> Dict[str, Dict[str, object]]:
@@ -372,7 +442,8 @@ def _peak_block(obj) -> Dict[str, Dict[str, object]]:
 
 
 def _final_share_map(item_ids, finals) -> Dict[str, float]:
-    return {str(int(a)): float(v) for a, v in zip(item_ids, finals)}
+    return dict(zip(map(str, np.asarray(item_ids).tolist()),
+                    np.asarray(finals, dtype=np.float64).tolist()))
 
 
 def _safe_gini(finals) -> Optional[float]:
@@ -398,10 +469,9 @@ def _trace_summary(trace: Trace) -> Dict:
 
 def _ensemble_summary(ens: EnsembleResult) -> Dict:
     corrs = []
-    for r in range(ens.runs):
+    for quality, finals in zip(ens.per_run_quality, ens.per_run_final_share):
         try:
-            corrs.append(quality_share_correlation(
-                ens.per_run_quality[r], ens.per_run_final_share[r]))
+            corrs.append(quality_share_correlation(quality, finals))
         except ValueError:
             continue
     corr_mean = float(np.mean(corrs)) if corrs else None
@@ -417,10 +487,10 @@ def _ensemble_summary(ens: EnsembleResult) -> Dict:
     }
 
 
-def _write_outputs(out_dir: str, trace_header, trace_rows, summary: Dict,
+def _write_outputs(out_dir: str, trace_header, trace_blocks, summary: Dict,
                    manifest: Dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "trace.csv"), trace_header, trace_rows)
+    _write_csv(os.path.join(out_dir, "trace.csv"), trace_header, trace_blocks)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
@@ -445,34 +515,34 @@ def _manifest(command: str, settings: RunSettings,
 
 def cmd_run(settings: RunSettings) -> None:
     trace = run(settings.config)
-    rows = _trace_rows(trace.rounds, trace.item_ids, trace.advertisements,
-                       trace.intro_rounds, trace.shares,
-                       np.zeros_like(trace.shares))
+    block = _trace_rows(trace.rounds, trace.item_ids, trace.advertisements,
+                        trace.intro_rounds, trace.shares,
+                        np.zeros_like(trace.shares))
     summary = {"command": "run", **_trace_summary(trace)}
-    _write_outputs(settings.out, TRACE_HEADER, rows, summary,
+    _write_outputs(settings.out, TRACE_HEADER, [block], summary,
                    _manifest("run", settings, None))
 
 
 def cmd_ensemble(settings: RunSettings) -> None:
     ens = run_ensemble(settings.config, settings.runs, jobs=settings.jobs)
-    rows = _trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                       ens.intro_rounds, ens.mean_share, ens.std_share)
+    block = _trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
+                        ens.intro_rounds, ens.mean_share, ens.std_share)
     summary = {"command": "ensemble", **_ensemble_summary(ens)}
-    _write_outputs(settings.out, TRACE_HEADER, rows, summary,
+    _write_outputs(settings.out, TRACE_HEADER, [block], summary,
                    _manifest("ensemble", settings, None))
 
 
 def _grid_outputs(points) -> Tuple[List[str], List[Dict]]:
-    """trace.csv rows and summary points of a sweep, grid point by point."""
-    rows: List[str] = []
+    """trace.csv blocks and summary points of a sweep, grid point by point."""
+    blocks: List[str] = []
     summaries = []
     for pt in points:
         ens = pt.ensemble
-        rows.extend(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                                ens.intro_rounds, ens.mean_share, ens.std_share,
-                                grid_value=pt.value))
+        blocks.append(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
+                                  ens.intro_rounds, ens.mean_share, ens.std_share,
+                                  grid_value=pt.value))
         summaries.append({"value": pt.value, "seed": pt.seed, **_ensemble_summary(ens)})
-    return rows, summaries
+    return blocks, summaries
 
 
 def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
@@ -480,9 +550,9 @@ def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
     spec = SweepSpec(base=settings.config, parameter=parameter, grid=grid,
                      runs=settings.runs)
     result = sweep(spec, jobs=settings.jobs)
-    rows, points = _grid_outputs(result.points)
+    blocks, points = _grid_outputs(result.points)
     summary = {"command": command, "parameter": parameter, "points": points}
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, rows, summary,
+    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, blocks, summary,
                    _manifest(command, settings, grid))
 
 
@@ -502,7 +572,7 @@ def cmd_optimize(settings: RunSettings) -> None:
     result = optimize_advertisement(settings.config, grid,
                                     objective=settings.objective,
                                     runs=settings.runs, jobs=settings.jobs)
-    rows, points = _grid_outputs(result.sweep_result.points)
+    blocks, points = _grid_outputs(result.sweep_result.points)
     summary = {
         "command": "optimize",
         "objective": result.objective,
@@ -514,7 +584,7 @@ def cmd_optimize(settings: RunSettings) -> None:
         ],
         "points": points,
     }
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, rows, summary,
+    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, blocks, summary,
                    _manifest("optimize", settings, grid))
 
 

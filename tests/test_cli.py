@@ -11,6 +11,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fashsim.cli import (
     _KEYS,
@@ -18,7 +20,9 @@ from fashsim.cli import (
     ConfigError,
     RunSettings,
     _build_parser,
+    _float_cells,
     _fmt,
+    _json_dumps,
     _peak_block,
     _trace_rows,
     main,
@@ -411,6 +415,11 @@ def trace_rows_reference(rounds, item_ids, ads, intros, mean, std, grid_value=No
     return rows
 
 
+def trace_rows_text(*args):
+    """trace_rows_reference as one text block, each line newline-terminated."""
+    return "".join(line + "\n" for line in trace_rows_reference(*args))
+
+
 # One column per case; rows are rounds 1..5.
 EDGE_INTROS = np.array([0, 2, 2, 5, 0, 0, 3, 1, 0])
 EDGE_SHARES = np.array([
@@ -465,11 +474,93 @@ class TestColumnwiseWriters:
         item_ids = np.array([0, 1, 2, 3, 4, 7])
         rounds = np.array([1, 2, 3])
         got = _trace_rows(rounds, item_ids, ads, intros, mean, std, grid_value)
-        want = trace_rows_reference(rounds, item_ids, ads, intros, mean, std, grid_value)
+        want = trace_rows_text(rounds, item_ids, ads, intros, mean, std, grid_value)
         assert got == want
-        assert len(got) == 3 * 3 + 2 + 1  # item 4 (intro 3) never appears
-        assert got[0].endswith("1,0,-0,0,-0,0.16666666666666666,-0")
-        assert "4.9406564584124654e-324" in got[1]
+        lines = got.splitlines()
+        assert len(lines) == 3 * 3 + 2 + 1  # item 4 (intro 3) never appears
+        assert lines[0].endswith("1,0,-0,0,-0,0.16666666666666666,-0")
+        assert "4.9406564584124654e-324" in lines[1]
+
+        # Few distinct values (zeros of both signs, NaNs, infinities) take
+        # the format-once branch; all-distinct values the per-cell one.
+        few = np.array([[0.0, -0.0, np.nan, np.inf],
+                        [-np.inf, 0.0, -0.0, -np.nan],
+                        [np.nan, np.inf, 0.0, -0.0],
+                        [-0.0, -np.inf, np.inf, 0.0]])
+        many = np.arange(16.0).reshape(4, 4) / 3 - 2.0
+        assert _float_cells(few.ravel())[1] == "%s"
+        assert _float_cells(many.ravel())[1] == "%.17g"
+        args = (np.arange(1, 5), np.array([3, 0, 1, 2]), np.array([0.5, -0.0, np.nan, 1e16]),
+                np.zeros(4, dtype=np.int64))
+        for mean, std in ((few, many), (many, few), (few, few)):
+            got = _trace_rows(*args, mean, std, grid_value)
+            assert got == trace_rows_text(*args, mean, std, grid_value)
+            assert len(got.splitlines()) == 16
+        assert "nan" in got and "-inf" in got and ",-0," in got
+
+        # No item trades before the last round: an empty block.
+        late = (np.arange(1, 4), np.arange(3), np.full(3, 0.5), np.array([3, 3, 5]))
+        assert _trace_rows(*late, mean[:3, :3], std[:3, :3], grid_value) == ""
+        assert trace_rows_reference(*late, mean[:3, :3], std[:3, :3], grid_value) == []
+
+
+JSON_KEYS = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # surrogates and controls too
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "a b"]))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]),
+    JSON_KEYS)
+# Values json rejects, or accepts only through its own key conversion.
+JSON_MISFITS = st.one_of(
+    st.integers(-5, 5).map(np.int64), st.frozensets(st.integers(), max_size=2).map(set),
+    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                    JSON_SCALARS, min_size=1, max_size=3),
+    st.builds(lambda k: {k: 0, 1: 0}, JSON_KEYS))
+
+
+def json_values(depth, leaves=JSON_SCALARS):
+    """JSON payloads nested up to depth containers, empty ones included."""
+    if depth == 0:
+        return leaves
+    inner = json_values(depth - 1, leaves)
+    return st.one_of(leaves, st.lists(inner, max_size=4),
+                     st.lists(inner, max_size=4).map(tuple),
+                     st.dictionaries(JSON_KEYS, inner, max_size=4))
+
+
+def json_outcome(dumps, payload):
+    try:
+        return dumps(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_values(4))
+    def test_matches_json_dumps(self, payload):
+        assert _json_dumps(payload) == reference_dumps(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=json_values(3, st.one_of(JSON_SCALARS, JSON_MISFITS)))
+    def test_falls_back_to_json_dumps(self, payload):
+        assert json_outcome(_json_dumps, payload) == json_outcome(reference_dumps, payload)
+
+    def test_rejections_are_jsons(self):
+        loop = []
+        loop.append(loop)
+        for payload in ({"a": np.int64(3)}, [{1, 2}], {"a": {2.5: 1}}, {1: 0, "a": 1},
+                        {(1, 2): 0}, loop):
+            assert json_outcome(_json_dumps, payload) == json_outcome(reference_dumps, payload)
+        assert json_outcome(_json_dumps, {"a": np.int64(3)})[0] is TypeError
+        assert json_outcome(_json_dumps, loop)[0] is ValueError  # circular reference
 
 
 # Every config key set to a value other than its default.
