@@ -220,22 +220,23 @@ def _read_config_file(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             head = fh.read(64)
+        if not head.lstrip().startswith("{"):
+            return _read_kv_file(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("config: cannot read %s (%s)" % (path, exc)) from None
-    if head.lstrip().startswith("{"):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config: %s is not valid JSON (%s)" % (path, exc)) from None
-        cfg = doc.get("config")
-        if not isinstance(cfg, dict):
-            raise ConfigError("config: %s has no 'config' object" % path)
-        unknown = sorted(set(cfg).difference(_KEYS))
-        if unknown:
-            raise ConfigError("config: unknown key %r in %s" % (unknown[0], path))
-        return dict(cfg)
-    return _read_kv_file(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config: %s is not UTF-8 text (%s)" % (path, exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config: %s is not valid JSON (%s)" % (path, exc)) from None
+    cfg = doc.get("config")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: %s has no 'config' object" % path)
+    unknown = sorted(set(cfg).difference(_KEYS))
+    if unknown:
+        raise ConfigError("config: unknown key %r in %s" % (unknown[0], path))
+    return dict(cfg)
 
 
 def parse_config(path: Optional[str],

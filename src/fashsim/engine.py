@@ -28,7 +28,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernel
-from .graph import SocialGraph, TopologySpec
+from .graph import TopologySpec
 from .model import MODES, MarketBatch, MarketParams, MarketState, shared_params
 
 __all__ = [
@@ -194,21 +194,16 @@ class EnsembleResult:
 
 
 def init_market(config: SimulationConfig,
-                rng: Optional[np.random.Generator] = None,
-                graph: Optional[SocialGraph] = None) -> MarketState:
+                rng: Optional[np.random.Generator] = None) -> MarketState:
     """Fresh round-0 state: graph, likings U[0,1], tolerances U(0,1].
 
     When rng is omitted a new PCG64 stream is seeded from config.seed.
     Passing the stream in lets run() keep drawing from it for later item
-    introductions. A ring draws nothing, so a batch may build it once and
-    pass it as graph; other topologies must build their own.
+    introductions.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.PCG64(config.seed))
-    if graph is None:
-        graph = config.topology.build(config.n_agents, rng)
-    elif config.topology.kind != "ring" or graph.n != config.n_agents:
-        raise ValueError("graph: only a ring of n_agents vertices may be passed in")
+    graph = config.topology.build(config.n_agents, rng)
     n, m = config.n_agents, config.m_initial
     liking = rng.random((n, m))
     tolerance = 1.0 - rng.random(n)  # flip [0,1) to (0,1]
@@ -265,15 +260,6 @@ def introduce_items(state: MarketBatch, rng=None) -> Tuple[int, ...]:
                               likings, intro_round=state.round)
 
 
-def _round_penalties(state: MarketBatch) -> np.ndarray:
-    """Per-item penalty for the coming round, from round-start shares, one
-    row per run (no run axis on a MarketState); zero in cultural mode.
-    Each item gets exactly sigmoid(count / n) * advertisement."""
-    if state.mode != "fashion":
-        return np.zeros(state.counts[..., :state.m].shape, dtype=np.float64)
-    return state.penalties()
-
-
 def step(state: MarketBatch,
          table: Optional[kernel.ScoreTable] = None) -> np.ndarray:
     """Advance one synchronous round of a market or batch; returns the
@@ -298,7 +284,7 @@ def step(state: MarketBatch,
     else:
         table.sync()
 
-    agents, items = table.choose(_round_penalties(state))
+    agents, items = table.choose(state.penalties())
     rows, cols = state.commit_round(agents, items, round_label)
     table.refresh(rows, cols, agents, items)
     state.round = round_label
@@ -321,10 +307,7 @@ def _simulate(configs: Sequence[SimulationConfig],
     """
     first = configs[0]
     rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in configs]
-    ring = None
-    if len(configs) > 1 and first.topology.kind == "ring":
-        ring = first.topology.build(first.n_agents, None)
-    states = (init_market(c, r, ring) for c, r in zip(configs, rngs))
+    states = (init_market(c, r) for c, r in zip(configs, rngs))
     market = next(states) if len(configs) == 1 else MarketBatch.stack(states, len(configs))
     table = kernel.ScoreTable(market)
     period = first.params.intro_period

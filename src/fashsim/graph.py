@@ -1,15 +1,16 @@
 """Static social graphs the market simulator runs on.
 
 Agents are vertices 0..n-1. Edges are undirected, unweighted and immutable
-once built: construction assembles adjacency sets, then freezes them into a
-sorted CSR layout (offsets/targets arrays) that the engine reads directly.
+once built: every builder lists each edge once as a (src, dst) pair and
+_from_edges freezes the pairs into a sorted CSR layout (offsets/targets
+arrays) that the engine reads directly.
 
 Three builders are provided: a regular ring lattice, an Erdos-Renyi style
 random graph, and a small-world graph obtained by rewiring ring edges.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Set
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class SocialGraph:
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         if offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(targets):
             raise ValueError("offsets: malformed CSR index")
+        if np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("offsets: must be non-decreasing")
+        if len(targets) and not 0 <= targets.min() <= targets.max() < n:
+            raise ValueError("targets: vertex ids must be in [0, %d)" % n)
         offsets.setflags(write=False)
         targets.setflags(write=False)
         self.n = n
@@ -59,6 +64,7 @@ class SocialGraph:
         if set(adjacency) != set(range(n)):
             raise ValueError("adjacency: keys must be exactly 0..n-1")
         sets: Dict[int, Set[int]] = {i: set(adjacency[i]) for i in range(n)}
+        pairs = []
         for i, nbrs in sets.items():
             for j in nbrs:
                 if not 0 <= j < n:
@@ -67,13 +73,9 @@ class SocialGraph:
                     raise ValueError("adjacency: self loop at %d" % i)
                 if i not in sets[j]:
                     raise ValueError("adjacency: edge %d-%d not symmetric" % (i, j))
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            offsets[i + 1] = offsets[i] + len(sets[i])
-        targets = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i in range(n):
-            targets[offsets[i]:offsets[i + 1]] = sorted(sets[i])
-        return cls(n, offsets, targets)
+                if i < j:
+                    pairs.append((i, j))
+        return _from_edges(n, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
     def degree(self, i: int) -> int:
         self._check_vertex(i)
@@ -129,6 +131,16 @@ def neighbors(graph: SocialGraph, i: int) -> Set[int]:
     return graph.neighbors(i)
 
 
+def _from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> SocialGraph:
+    """The graph of undirected edges {src[e], dst[e]}, each listed once: both
+    directions are counted into offsets and sorted by (row, target)."""
+    rows = np.concatenate((src, dst))
+    cols = np.concatenate((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return SocialGraph(n, offsets, cols[np.lexsort((cols, rows))])
+
+
 def _validate_ring_args(n: int, k: int) -> None:
     if n < 3:
         raise ValueError("n: ring lattice needs n >= 3 (got %d)" % n)
@@ -138,13 +150,12 @@ def _validate_ring_args(n: int, k: int) -> None:
         raise ValueError("k: need 0 < k < n (got k=%d, n=%d)" % (k, n))
 
 
-def _ring_sets(n: int, k: int) -> Dict[int, Set[int]]:
+def _ring_edges(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ring edge once: each vertex's clockwise (i, i+d mod n), d <= k/2."""
     half = k // 2
-    return {
-        i: {(i + d) % n for d in range(1, half + 1)}
-        | {(i - d) % n for d in range(1, half + 1)}
-        for i in range(n)
-    }
+    src = np.repeat(np.arange(n, dtype=np.int64), half)
+    dst = (src + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    return src, dst
 
 
 def build_ring(n: int, k: int) -> SocialGraph:
@@ -153,7 +164,7 @@ def build_ring(n: int, k: int) -> SocialGraph:
     Indices wrap modulo n. k must be even and strictly less than n.
     """
     _validate_ring_args(n, k)
-    return SocialGraph.from_adjacency(_ring_sets(n, k))
+    return _from_edges(n, *_ring_edges(n, k))
 
 
 # Doubles drawn per block in build_random (2 MiB): bounds its memory.
@@ -189,19 +200,16 @@ def build_random(n: int, p: float, rng: np.random.Generator) -> SocialGraph:
         lo.append(rows)
         hi.append(hits - (ends[rows] - lens[rows]) + rows + 1)
         first = last
-    src = np.concatenate(lo + hi)
-    dst = np.concatenate(hi + lo)
-    order = np.lexsort((dst, src))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return SocialGraph(n, offsets, dst[order])
+    # Rebinding frees the blocks, so only one copy of the edges is held.
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    return _from_edges(n, lo, hi)
 
 
 def build_small_world(n: int, k: int, p: float, rng: np.random.Generator) -> SocialGraph:
     """Small-world graph: ring lattice with random edge rewiring.
 
     Starting from build_ring(n, k), every clockwise edge (i, i+j mod n),
-    j = 1..k/2, is visited in order (i ascending, then j ascending) and,
+    j = 1..k/2, is visited in order (j ascending, then i ascending) and,
     with probability p, replaced by an edge from i to a uniformly chosen
     current non-neighbor (self loops and duplicate edges excluded; the
     uniform choice is made by rejection sampling). If i is already linked
@@ -211,26 +219,29 @@ def build_small_world(n: int, k: int, p: float, rng: np.random.Generator) -> Soc
     _validate_ring_args(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p: rewiring probability must be in [0, 1] (got %r)" % p)
-    sets = _ring_sets(n, k)
-    half = k // 2
-    for j in range(1, half + 1):
+    # Undirected edge {a, b}, a < b, is the key a * n + b.
+    src, dst = _ring_edges(n, k)
+    edges = set((np.minimum(src, dst) * n + np.maximum(src, dst)).tolist())
+    degree = [k] * n
+    for j in range(1, k // 2 + 1):
         for i in range(n):
             if rng.random() >= p:
                 continue
             old = (i + j) % n
             # Own clockwise edges are visited exactly once, so this edge is
             # still present even after earlier rewires elsewhere.
-            if len(sets[i]) >= n - 1:
+            if degree[i] >= n - 1:
                 continue  # no eligible target; keep the original edge
             while True:
                 t = int(rng.integers(0, n))
-                if t != i and t not in sets[i]:
+                if t != i and min(i, t) * n + max(i, t) not in edges:
                     break
-            sets[i].remove(old)
-            sets[old].remove(i)
-            sets[i].add(t)
-            sets[t].add(i)
-    return SocialGraph.from_adjacency(sets)
+            edges.remove(min(i, old) * n + max(i, old))
+            edges.add(min(i, t) * n + max(i, t))
+            degree[old] -= 1
+            degree[t] += 1
+    keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+    return _from_edges(n, keys // n, keys % n)
 
 
 _TOPOLOGY_KINDS = ("ring", "random", "small_world")

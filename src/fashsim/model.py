@@ -42,7 +42,7 @@ class MarketParams:
     """Model constants shared by every agent.
 
     gamma: weight of social pressure in opinion/utility, in [0, 1].
-    beta: sigmoid steepness for the saturation penalty, > 0.
+    beta: sigmoid steepness for the saturation penalty, > 0 and finite.
     sigmoid_center: sigmoid midpoint on the market-share axis, in [0, 1].
     intro_period: rounds between item introductions (fashion mode).
     intro_batch: items added per introduction.
@@ -73,8 +73,8 @@ class MarketParams:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma: must be in [0, 1] (got %r)" % (self.gamma,))
-        if not self.beta > 0.0:
-            raise ValueError("beta: must be > 0 (got %r)" % (self.beta,))
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta: must be > 0 and finite (got %r)" % (self.beta,))
         if not 0.0 <= self.sigmoid_center <= 1.0:
             raise ValueError(
                 "sigmoid_center: must be in [0, 1] (got %r)" % (self.sigmoid_center,)
@@ -275,13 +275,15 @@ class MarketBatch:
     def penalties(self) -> np.ndarray:
         """Every live item's saturation penalty for the coming round, one
         row per run (no run axis on a MarketState): the ``penalty`` of the
-        item's share counts / run_size, bit for bit.
+        item's share counts / run_size, bit for bit; zero in cultural mode.
 
         The sigmoid comes from a table over counts 0..run_size, one row per
         distinct beta, whose entries the scalar ``sigmoid`` fills the first
         time a count needs them; so a large market never pays run_size + 1
         calls up front.
         """
+        if self.mode != "fashion":
+            return np.zeros(self.counts[..., :self.m].shape)
         if self._sigmoid is None:
             betas, row = np.unique([p.beta for p in self.run_params], return_inverse=True)
             row = row.reshape(self.counts.shape[:-1] + (1,))

@@ -63,12 +63,12 @@ class SweepSpec:
 def _check_grid_value(parameter: str, v: float) -> None:
     if parameter == "advertisement" and not 0.0 <= v <= 1.0:
         raise ValueError("grid: advertisement values must be in [0, 1] (got %r)" % (v,))
-    if parameter == "beta" and not v > 0.0:
-        raise ValueError("grid: beta values must be > 0 (got %r)" % (v,))
+    if parameter == "beta" and not 0.0 < v < math.inf:
+        raise ValueError("grid: beta values must be > 0 and finite (got %r)" % (v,))
     if parameter == "gamma" and not 0.0 <= v <= 1.0:
         raise ValueError("grid: gamma values must be in [0, 1] (got %r)" % (v,))
     if parameter == "n_agents":
-        if v != int(v) or int(v) < 2:
+        if not math.isfinite(v) or v != int(v) or int(v) < 2:
             raise ValueError("grid: n_agents values must be integers >= 2 (got %r)" % (v,))
 
 

@@ -112,6 +112,40 @@ def random_graph_by_rows(n, p, rng):
     return SocialGraph.from_adjacency(sets)
 
 
+def ring_sets(n, k):
+    """Ring lattice as one Python neighbor set per vertex."""
+    half = k // 2
+    return {
+        i: {(i + d) % n for d in range(1, half + 1)}
+        | {(i - d) % n for d in range(1, half + 1)}
+        for i in range(n)
+    }
+
+
+def small_world_by_sets(n, k, p, rng):
+    """build_small_world rewiring one Python neighbor set per vertex: the
+    reference for the edge-key builder, draw for draw."""
+    from fashsim.graph import SocialGraph
+
+    sets = ring_sets(n, k)
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            if rng.random() >= p:
+                continue
+            old = (i + j) % n
+            if len(sets[i]) >= n - 1:
+                continue
+            while True:
+                t = int(rng.integers(0, n))
+                if t != i and t not in sets[i]:
+                    break
+            sets[i].remove(old)
+            sets[old].remove(i)
+            sets[i].add(t)
+            sets[t].add(i)
+    return SocialGraph.from_adjacency(sets)
+
+
 def check_trace_invariants(trace):
     """Assert every structural invariant a finished trace must satisfy."""
     R, M = trace.shares.shape

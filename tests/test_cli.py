@@ -696,6 +696,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "gamma" in err
 
+    def test_a_config_that_is_not_utf8_is_exit_1(self, tmp_path, capsys):
+        # A bad byte in the first 64 characters, past them in a key=value
+        # file, and inside a manifest.
+        for raw in (b"\xff agents = 5\n", b"agents = 5\n" + b"#" * 80 + b"\xff\n",
+                    b'{"config": {"agents": 5, "mode": "\xff"}}'):
+            path = tmp_path / "bad.cfg"
+            path.write_bytes(raw)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("fashsim: error: config: ") and "not UTF-8" in err
+
     def test_flag_and_file_values_share_one_message(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("agents = x\n", encoding="utf-8")

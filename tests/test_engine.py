@@ -329,7 +329,7 @@ def reference_choices(state):
     has_min = p.min_utility is not None
     out = np.empty(state.n_agents, dtype=np.int64)
     kernel.decide_round(
-        state.liking, state.tolerance, ads, engine._round_penalties(state),
+        state.liking, state.tolerance, ads, state.penalties(),
         state.nbr_counts, state.degrees, state.consumed,
         p.gamma, not fashion or p.utility_social_blend == "liking", state.m,
         float(p.min_utility) if has_min else 0.0, has_min, out,
@@ -423,7 +423,7 @@ class TestScoreTable:
 
 def penalties_per_item(state):
     """Per-item scalar sigmoid loop: the bit-level reference for
-    engine._round_penalties."""
+    state.penalties()."""
     p = state.params
     pen = np.zeros(state.m, dtype=np.float64)
     if state.mode == "fashion":
@@ -456,7 +456,7 @@ class TestRoundPenalties:
         ads = draw.random(m)
         ads[draw.random(m) < 0.3] = 0.0
         state.advertisement[:m] = ads
-        got = engine._round_penalties(state)
+        got = state.penalties()
         want = penalties_per_item(state)
         assert got.dtype == np.float64 and got.shape == (m,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -465,7 +465,7 @@ class TestRoundPenalties:
         state = init_market(small_config(mode="cultural"))
         state.counts[:state.m] = [0, 6, 3, 6]
         state.advertisement[:state.m] = [0.0, 1.0, 0.5, 0.2]
-        got = engine._round_penalties(state)
+        got = state.penalties()
         assert got.dtype == np.float64
         assert np.array_equal(got, np.zeros(state.m))
 
@@ -858,14 +858,6 @@ class TestBatches:
         step(moved)
         with pytest.raises(ValueError, match="one shape"):
             MarketBatch.stack([a, moved], 2)
-
-    def test_only_a_ring_may_be_shared(self):
-        ring = build_ring(6, 2)
-        assert init_market(small_config(), graph=ring).graph is ring
-        with pytest.raises(ValueError):
-            init_market(small_config(topology=TopologySpec(kind="random", p=0.3)), graph=ring)
-        with pytest.raises(ValueError):
-            init_market(small_config(n_agents=7), graph=ring)
 
     def test_uniform_introductions_need_one_generator_per_run(self):
         cfg = small_config(params=MarketParams(intro_period=2, new_item_liking="uniform"))

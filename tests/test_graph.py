@@ -79,6 +79,11 @@ class TestRing:
         assert np.all(g.degrees == k)
         assert_well_formed(g)
 
+    def test_matches_the_set_reference(self):
+        for n in range(3, 40):
+            for k in range(2, min(n, 13), 2):
+                assert build_ring(n, k) == SocialGraph.from_adjacency(oracles.ring_sets(n, k))
+
 
 class TestRandom:
     def test_p_zero_has_no_edges(self):
@@ -215,6 +220,22 @@ class TestSmallWorld:
         assert_well_formed(g)
         assert g.edge_count == n * k // 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        half=st.integers(1, 5),
+        p=st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_the_set_reference(self, n, half, p, seed):
+        k = 2 * half
+        if k >= n:
+            return
+        got_rng, want_rng = rng_from(seed), rng_from(seed)
+        got = build_small_world(n, k, p, got_rng)
+        assert got == oracles.small_world_by_sets(n, k, p, want_rng)
+        assert got_rng.random() == want_rng.random()
+
 
 class TestSocialGraph:
     def test_from_adjacency_roundtrip(self):
@@ -235,6 +256,16 @@ class TestSocialGraph:
             SocialGraph.from_adjacency({0: [1], 1: []})  # asymmetric
         with pytest.raises(ValueError):
             SocialGraph.from_adjacency({0: [5], 1: [0]})  # out of range
+
+    def test_rejects_decreasing_offsets(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            SocialGraph(3, [0, 2, 1, 2], [1, 0])
+
+    def test_rejects_targets_out_of_range(self):
+        with pytest.raises(ValueError, match="targets"):
+            SocialGraph(3, [0, 1, 2, 2], [-1, 0])
+        with pytest.raises(ValueError, match="targets"):
+            SocialGraph(3, [0, 1, 2, 2], [3, 0])
 
     def test_isolated_vertices_are_legal(self):
         g = SocialGraph.from_adjacency({0: [], 1: [], 2: []})

@@ -354,6 +354,7 @@ class TestStateContainers:
     def test_params_validation(self):
         for bad in (
             dict(gamma=-0.1), dict(gamma=1.1), dict(beta=0.0), dict(beta=-1.0),
+            dict(beta=float("inf")),
             dict(sigmoid_center=2.0), dict(intro_period=0), dict(intro_batch=0),
             dict(intro_ads=()), dict(intro_ads=(0.5, 1.3)), dict(catalog_ads=-0.2),
             dict(tracked_intro_ad=1.5), dict(new_item_liking="never"),

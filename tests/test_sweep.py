@@ -44,11 +44,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(cfg, "beta", (0.0,))
         with pytest.raises(ValueError):
+            SweepSpec(cfg, "beta", (float("inf"),))
+        with pytest.raises(ValueError):
             SweepSpec(cfg, "gamma", (-0.1,))
         with pytest.raises(ValueError):
             SweepSpec(cfg, "n_agents", (2.5,))
         with pytest.raises(ValueError):
             SweepSpec(cfg, "n_agents", (1,))
+        with pytest.raises(ValueError):
+            SweepSpec(cfg, "n_agents", (float("inf"),))
 
 
 class TestSweepSeeding:
