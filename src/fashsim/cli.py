@@ -55,7 +55,6 @@ from .sweep import (
     SweepSpec,
     optimize_advertisement,
     sweep,
-    tracked_item_id,
 )
 
 __all__ = ["main", "parse_config", "ConfigError", "RunSettings"]
@@ -559,7 +558,6 @@ def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
 
 def cmd_sweep_adv(settings: RunSettings) -> None:
     grid = settings.grid if settings.grid is not None else _DEFAULT_GRID_ADV
-    tracked_item_id(settings.config)  # validates the tracked item will exist
     _sweep_outputs("sweep-adv", "advertisement", settings, grid)
 
 
@@ -634,8 +632,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("missing command (try: fashsim run --help)")
         overrides = {k: v for k, v in vars(args).items() if k in _KEYS}
         settings = parse_config(args.config, overrides)
-        out = args.out or os.environ.get("FASHSIM_OUT") or settings.out
-        settings = replace(settings, out=out)
+        env_out = os.environ.get("FASHSIM_OUT")
+        if args.out is None and env_out is not None:
+            settings = replace(settings, out=_parse_path("FASHSIM_OUT", env_out))
     except ConfigError as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1

@@ -50,9 +50,9 @@ __all__ = [
 DEFAULT_SEED = 42
 
 # Cell budget of one batch: runs stepped together hold at most this many
-# (agent, item-capacity) cells, about 1.3 MB at 41 bytes per cell (liking,
-# consumed, consumed_round, nbr_counts, the score table and its scratch
-# buffer). A run larger than the budget is a batch of one. On the paper's
+# (agent, item-capacity) cells, about 1.2 MB at 36 bytes per cell (liking
+# f8, consumed i4, nbr_counts i8, the score table f8 and its scratch buffer
+# f8). A run larger than the budget is a batch of one. On the paper's
 # 100-agent runs, 2^15 cells (6 runs) is as fast as 2^16 within 3%, and
 # 2^16 adds about 1 MiB to the peak memory of an optimize call.
 BATCH_CELLS = 1 << 15
@@ -93,8 +93,9 @@ class SimulationConfig:
             raise ValueError("agents: need at least 2 (got %d)" % self.n_agents)
         if self.m_initial < 1:
             raise ValueError("items: need at least 1 (got %d)" % self.m_initial)
-        if self.rounds < 1:
-            raise ValueError("rounds: need at least 1 (got %d)" % self.rounds)
+        if not 1 <= self.rounds < 2**31:
+            # The market records a consumption's round label as int32.
+            raise ValueError("rounds: must be in [1, 2^31) (got %d)" % self.rounds)
         if self.mode not in MODES:
             raise ValueError(
                 "mode: expected one of %s (got %r)" % (", ".join(MODES), self.mode)
@@ -203,21 +204,28 @@ def init_market(config: SimulationConfig,
     """
     if rng is None:
         rng = np.random.default_rng(np.random.PCG64(config.seed))
-    graph = config.topology.build(config.n_agents, rng)
-    n, m = config.n_agents, config.m_initial
-    liking = rng.random((n, m))
-    tolerance = 1.0 - rng.random(n)  # flip [0,1) to (0,1]
-    ads = np.full(m, config.params.catalog_ads, dtype=np.float64)
-    capacity = _final_item_count(config)
-    return MarketState(
-        params=config.params,
-        graph=graph,
-        mode=config.mode,
-        liking=liking,
-        tolerance=tolerance,
-        advertisement=ads,
-        capacity=capacity,
-    )
+    return _new_market([config], [rng])
+
+
+def _new_market(configs: Sequence[SimulationConfig],
+                rngs: Sequence[np.random.Generator]) -> MarketBatch:
+    """Round-0 market of runs of one shape (equal _batch_key): run b draws
+    its graph, catalog likings and tolerances, in that order, from
+    rngs[b] straight into its rows. One run is a MarketState."""
+    first = configs[0]
+    n, m, runs = first.n_agents, first.m_initial, len(configs)
+    graphs = []
+    liking, tolerance = np.empty((runs * n, m)), np.empty(runs * n)
+    for b, (config, rng) in enumerate(zip(configs, rngs)):
+        graphs.append(config.topology.build(n, rng))
+        rng.random(out=liking[b * n:(b + 1) * n])
+        rng.random(out=tolerance[b * n:(b + 1) * n])
+    np.subtract(1.0, tolerance, out=tolerance)  # flip [0,1) to (0,1]
+    args = (first.mode, liking, tolerance, np.full(m, first.params.catalog_ads))
+    capacity = _final_item_count(first)
+    if runs == 1:
+        return MarketState(first.params, graphs[0], *args, capacity=capacity)
+    return MarketBatch([c.params for c in configs], graphs, *args, capacity=capacity)
 
 
 def introduce_items(state: MarketBatch, rng=None) -> Tuple[int, ...]:
@@ -297,18 +305,16 @@ def _simulate(configs: Sequence[SimulationConfig],
 
     Returns the market, each run's consumer counts after every round as a
     (runs, R, M) int64 array, and (with keep_events) each round's events
-    as step returns them. Each run draws its graph, likings, tolerances and introduced-item
-    likings from its own stream, in the order of a lone run. One run is
-    stepped on its own MarketState; several are stacked into a
-    MarketBatch. In fashion mode a batch of items is introduced at the top
-    of every round r with r > 0 and r % intro_period == 0 (so the first
-    batch enters after intro_period completed rounds), before that round's
-    decisions.
+    as step returns them. Each run draws its graph, likings, tolerances
+    and introduced-item likings from its own stream, in the order of a
+    lone run (see _new_market). In fashion mode a batch of items is
+    introduced at the top of every round r with r > 0 and
+    r % intro_period == 0 (so the first batch enters after intro_period
+    completed rounds), before that round's decisions.
     """
     first = configs[0]
     rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in configs]
-    states = (init_market(c, r) for c, r in zip(configs, rngs))
-    market = next(states) if len(configs) == 1 else MarketBatch.stack(states, len(configs))
+    market = _new_market(configs, rngs)
     table = kernel.ScoreTable(market)
     period = first.params.intro_period
     R = first.rounds

@@ -48,7 +48,7 @@ class ScoreTable:
         self._runs, self._run_size = state.runs, state.run_size
         # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
         # the +0.0 that decide_round leaves where deg == 0.
-        self._denom = np.maximum(state.degrees, 1).astype(np.float64)
+        self._denom = np.maximum(state.graph.degrees, 1).astype(np.float64)
         # One gamma when the runs agree, else a column of each row's gamma.
         gammas = [q.gamma for q in state.run_params]
         self._gamma = p.gamma if len(set(gammas)) == 1 else (
@@ -151,7 +151,7 @@ def decide_round(
     pen: np.ndarray,           # float64 (m,) per-item penalty this round
     nbr_counts: np.ndarray,    # int64 (n, cap)
     degrees: np.ndarray,       # int64 (n,)
-    consumed: np.ndarray,      # uint8 (n, cap)
+    consumed: np.ndarray,      # int32 (n, cap), 0 = not consumed
     gamma: float,
     blend_liking: bool,
     n_items: int,

@@ -9,7 +9,7 @@ per-round counters the engine maintains; tests lean on that independence.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,20 +137,20 @@ class MarketBatch:
     """Markets of one shape stepped together as one market of many agents.
 
     Run b owns agent rows b * run_size to (b + 1) * run_size - 1 of every
-    per-agent array (liking, tolerance, consumed, consumed_round,
-    nbr_counts, degrees), and ``graph`` is the disjoint union of the runs'
-    graphs, so no edge joins two runs. ``counts`` and ``advertisement`` are
-    (runs, capacity); ``intro_rounds``, ``m`` and ``round`` are shared.
-    ``run_params[b]`` is run b's MarketParams: the runs differ at most in
-    gamma, beta and tracked_intro_ad (see shared_params), and ``params`` is
-    run 0's.
+    per-agent array (liking, tolerance, consumed, nbr_counts), and
+    ``graph`` is the disjoint union of the runs' graphs, so no edge joins
+    two runs. ``counts`` and ``advertisement`` are (runs, capacity);
+    ``intro_rounds``, ``m`` and ``round`` are shared. ``run_params[b]`` is
+    run b's MarketParams: the runs differ at most in gamma, beta and
+    tracked_intro_ad (see shared_params), and ``params`` is run 0's.
 
-    Arrays are sized to a capacity that may exceed the live item count
-    (column m and beyond are reserved for future introductions);
-    ``m_initial`` remembers the catalog size so introduced items can be
-    told apart. ``counts`` and ``nbr_counts`` are running caches (consumers
-    per item; per-agent count of neighbours who consumed each item) that
-    ``commit_round`` updates once per round.
+    ``consumed[i, a]`` is the 1-based round in which agent row i consumed
+    item a, or 0 if it has not. Arrays are sized to a capacity that may
+    exceed the live item count (column m and beyond are reserved for
+    future introductions); ``m_initial`` remembers the catalog size so
+    introduced items can be told apart. ``counts`` and ``nbr_counts`` are
+    running caches (consumers per item; per-agent count of neighbours who
+    consumed each item) that ``commit_round`` updates once per round.
 
     A MarketState is a batch of one run whose ``counts`` and
     ``advertisement`` have no run axis; the methods here index them as
@@ -160,57 +160,94 @@ class MarketBatch:
     __slots__ = (
         "params", "run_params", "runs", "run_size", "graph", "mode", "round",
         "m", "m_initial", "liking", "tolerance", "advertisement", "intro_rounds",
-        "consumed", "consumed_round", "counts", "nbr_counts", "degrees", "_sigmoid",
+        "consumed", "counts", "nbr_counts", "_sigmoid",
     )
 
-    @classmethod
-    def stack(cls, states: Iterable["MarketState"], runs: int) -> "MarketBatch":
-        """One batch of `runs` single-run states, run b the b-th state.
-
-        The states must agree in size, capacity, mode, round, live items,
-        introduction rounds and shared params. Each is copied in as it
-        comes and left as it was, so a generator of states keeps only one
-        of them alive at a time.
+    def __init__(
+        self,
+        run_params: Sequence[MarketParams],
+        graphs: Sequence[SocialGraph],
+        mode: str,
+        liking: np.ndarray,
+        tolerance: np.ndarray,
+        advertisement: np.ndarray,
+        intro_rounds: Optional[np.ndarray] = None,
+        capacity: Optional[int] = None,
+    ):
+        """Round 0 of len(graphs) runs, run b on graphs[b] with run_params[b]:
+        liking (runs * n, m) and tolerance (runs * n,) hold the runs' rows
+        in order; advertisement is (m,), shared by every run, or (runs, m).
         """
-        it = iter(states)
-        s = next(it)
+        if mode not in MODES:
+            raise ValueError("mode: expected one of %s (got %r)" % (", ".join(MODES), mode))
+        runs = len(graphs)
+        if runs < 1 or len(run_params) != runs:
+            raise ValueError("graphs: need one graph per run's params (got %d for %d)"
+                             % (runs, len(run_params)))
+        n = graphs[0].n
+        if any(g.n != n for g in graphs):
+            raise ValueError("graphs: every run needs a graph of %d agents" % n)
+        shared = shared_params(run_params[0])
+        if any(shared_params(q) != shared for q in run_params):
+            raise ValueError("run_params: runs of one batch may differ only in gamma, "
+                             "beta and tracked_intro_ad")
+        liking = np.asarray(liking, dtype=np.float64)
+        tolerance = np.asarray(tolerance, dtype=np.float64)
+        advertisement = np.asarray(advertisement, dtype=np.float64)
+        if liking.ndim != 2:
+            raise ValueError("liking: expected a 2-d (agents x items) array")
+        rows, m = liking.shape
+        if rows != runs * n:
+            raise ValueError(
+                "liking: row count %d does not match graph size %d" % (rows, runs * n)
+            )
+        if tolerance.shape != (rows,):
+            raise ValueError("tolerance: expected shape (%d,)" % rows)
+        if advertisement.shape not in ((m,), (runs, m)):
+            raise ValueError("advertisement: expected shape (%d,)" % m)
+        if m and (liking.min() < 0.0 or liking.max() > 1.0):
+            raise ValueError("liking: values must be in [0, 1]")
+        if rows and (tolerance.min() <= 0.0 or tolerance.max() > 1.0):
+            raise ValueError("tolerance: values must be in (0, 1]")
+        if m and (advertisement.min() < 0.0 or advertisement.max() > 1.0):
+            raise ValueError("advertisement: values must be in [0, 1]")
+        if intro_rounds is not None:
+            intro_rounds = np.asarray(intro_rounds, dtype=np.int64)
+            if intro_rounds.shape != (m,):
+                raise ValueError("intro_rounds: expected shape (%d,)" % m)
+            if m and intro_rounds.min() < 0:
+                raise ValueError("intro_rounds: must be >= 0")
 
-        def shape(s):
-            return (s.liking.shape, s.mode, s.round, s.m, s.m_initial,
-                    shared_params(s.params), s.intro_rounds.tobytes())
-
-        key = shape(s)
-        n = s.n_agents
-        self = cls.__new__(cls)
-        self.params = s.params
-        self.runs, self.run_size = runs, n
-        self.mode, self.round, self.m, self.m_initial = s.mode, s.round, s.m, s.m_initial
-        self.intro_rounds = s.intro_rounds.copy()
-        per_agent = ("liking", "tolerance", "consumed", "consumed_round", "nbr_counts",
-                     "degrees")
-        for name in per_agent:
-            a = getattr(s, name)
-            setattr(self, name, np.empty((runs * n,) + a.shape[1:], dtype=a.dtype))
-        self.advertisement = np.empty((runs,) + s.advertisement.shape)
-        self.counts = np.empty((runs,) + s.counts.shape, dtype=np.int64)
-        run_params, offsets, targets, edges = [], [np.zeros(1, dtype=np.int64)], [], 0
-        for b in range(runs):
-            if b:
-                s = next(it)
-                if shape(s) != key:
-                    raise ValueError("states: a batch needs markets of one shape")
-            for name in per_agent:
-                getattr(self, name)[b * n:(b + 1) * n] = getattr(s, name)
-            self.advertisement[b] = s.advertisement
-            self.counts[b] = s.counts
-            run_params.append(s.params)
-            offsets.append(s.graph.offsets[1:] + edges)
-            targets.append(s.graph.targets + b * n)
-            edges += len(s.graph.targets)
+        cap = max(m, capacity if capacity is not None else m)
+        self.params = run_params[0]
         self.run_params = tuple(run_params)
-        self.graph = SocialGraph(runs * n, np.concatenate(offsets), np.concatenate(targets))
+        self.runs, self.run_size = runs, n
+        if runs == 1:
+            self.graph = graphs[0]
+        else:
+            # Disjoint union: run b's offsets continue where run b - 1's
+            # edges end, and its targets move to its block of rows.
+            starts = np.cumsum([0] + [len(g.targets) for g in graphs])
+            offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
+            targets = [g.targets + b * n for b, g in enumerate(graphs)]
+            self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
+                                     np.concatenate(targets))
+        self.mode = mode
+        self.round = 0
+        self.m = m
+        self.m_initial = m
+        self.liking = np.zeros((rows, cap), dtype=np.float64)
+        self.liking[:, :m] = liking
+        self.tolerance = np.ascontiguousarray(tolerance)
+        self.advertisement = np.zeros((runs, cap), dtype=np.float64)
+        self.advertisement[:, :m] = advertisement
+        self.intro_rounds = np.zeros(cap, dtype=np.int64)
+        if intro_rounds is not None:
+            self.intro_rounds[:m] = intro_rounds
+        self.consumed = np.zeros((rows, cap), dtype=np.int32)
+        self.counts = np.zeros((runs, cap), dtype=np.int64)
+        self.nbr_counts = np.zeros((rows, cap), dtype=np.int64)
         self._sigmoid = None
-        return self
 
     @property
     def n_agents(self) -> int:
@@ -235,6 +272,7 @@ class MarketBatch:
         entry per increment, so callers that cache scores can refresh just
         those cells.
         """
+        _check_round(round_no)
         agents = np.asarray(agents, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if agents.ndim != 1 or agents.shape != items.shape:
@@ -251,8 +289,7 @@ class MarketBatch:
             k = int(np.argmax(seen))
             raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
 
-        self.consumed[agents, items] = 1
-        self.consumed_round[agents, items] = round_no
+        self.consumed[agents, items] = round_no
         cap = self.consumed.shape[1]
         # counts flattened: run r's item a is r * cap + a (on a MarketState
         # every agent is in run 0, so the index is the item id).
@@ -267,7 +304,7 @@ class MarketBatch:
         pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
         targets = self.graph.targets[pos]
         cols = np.repeat(items, lens)
-        # nbr_counts is allocated C-contiguous (stack, __init__ and _grow), so
+        # nbr_counts is allocated C-contiguous (by __init__ and _grow), so
         # the reshape is a view and the flat scatter lands in it.
         np.add.at(self.nbr_counts.reshape(-1), targets * cap + cols, 1)
         return targets, cols
@@ -334,8 +371,7 @@ class MarketBatch:
         cap = self.liking.shape[1]
         new_cap = max(need, cap * 2, cap + 4)
         for name, fill in (("liking", 0.0), ("advertisement", 0.0), ("intro_rounds", 0),
-                           ("consumed", 0), ("consumed_round", -1), ("counts", 0),
-                           ("nbr_counts", 0)):
+                           ("consumed", 0), ("counts", 0), ("nbr_counts", 0)):
             old = getattr(self, name)
             new = np.full(old.shape[:-1] + (new_cap,), fill, dtype=old.dtype)
             new[..., :cap] = old
@@ -366,69 +402,14 @@ class MarketState(MarketBatch):
         intro_rounds: Optional[np.ndarray] = None,
         capacity: Optional[int] = None,
     ):
-        if mode not in MODES:
-            raise ValueError("mode: expected one of %s (got %r)" % (", ".join(MODES), mode))
-        liking = np.asarray(liking, dtype=np.float64)
-        tolerance = np.asarray(tolerance, dtype=np.float64)
-        advertisement = np.asarray(advertisement, dtype=np.float64)
-        if liking.ndim != 2:
-            raise ValueError("liking: expected a 2-d (agents x items) array")
-        n, m = liking.shape
-        if n != graph.n:
-            raise ValueError(
-                "liking: row count %d does not match graph size %d" % (n, graph.n)
-            )
-        if tolerance.shape != (n,):
-            raise ValueError("tolerance: expected shape (%d,)" % n)
-        if advertisement.shape != (m,):
-            raise ValueError("advertisement: expected shape (%d,)" % m)
-        if m and (liking.min() < 0.0 or liking.max() > 1.0):
-            raise ValueError("liking: values must be in [0, 1]")
-        if n and (tolerance.min() <= 0.0 or tolerance.max() > 1.0):
-            raise ValueError("tolerance: values must be in (0, 1]")
-        if m and (advertisement.min() < 0.0 or advertisement.max() > 1.0):
-            raise ValueError("advertisement: values must be in [0, 1]")
-        if intro_rounds is None:
-            intro_rounds = np.zeros(m, dtype=np.int64)
-        else:
-            intro_rounds = np.asarray(intro_rounds, dtype=np.int64)
-            if intro_rounds.shape != (m,):
-                raise ValueError("intro_rounds: expected shape (%d,)" % m)
-            if m and intro_rounds.min() < 0:
-                raise ValueError("intro_rounds: must be >= 0")
-
-        cap = max(m, capacity if capacity is not None else m)
-        self.params = params
-        self.run_params = (params,)
-        self.runs = 1
-        self.run_size = n
-        self.graph = graph
-        self.mode = mode
-        self.round = 0
-        self.m = m
-        self.m_initial = m
-        self.liking = np.zeros((n, cap), dtype=np.float64)
-        self.liking[:, :m] = liking
-        self.tolerance = np.ascontiguousarray(tolerance)
-        self.advertisement = np.zeros(cap, dtype=np.float64)
-        self.advertisement[:m] = advertisement
-        self.intro_rounds = np.zeros(cap, dtype=np.int64)
-        self.intro_rounds[:m] = intro_rounds
-        self.consumed = np.zeros((n, cap), dtype=np.uint8)
-        self.consumed_round = np.full((n, cap), -1, dtype=np.int64)
-        self.counts = np.zeros(cap, dtype=np.int64)
-        self.nbr_counts = np.zeros((n, cap), dtype=np.int64)
-        self.degrees = np.ascontiguousarray(graph.degrees, dtype=np.int64)
-        self._sigmoid = None
+        super().__init__((params,), (graph,), mode, liking, tolerance, advertisement,
+                         intro_rounds, capacity)
+        self.counts, self.advertisement = self.counts[0], self.advertisement[0]
 
     def agent(self, agent_id: int) -> Agent:
         _check_agent(self, agent_id)
         i = int(agent_id)
-        consumed = {
-            int(a): int(self.consumed_round[i, a])
-            for a in range(self.m)
-            if self.consumed[i, a]
-        }
+        consumed = {int(a): int(r) for a, r in enumerate(self.consumed[i, :self.m]) if r}
         liking = {int(a): float(self.liking[i, a]) for a in range(self.m)}
         return Agent(id=i, tolerance=float(self.tolerance[i]),
                      liking=liking, consumed=consumed)
@@ -458,13 +439,13 @@ class MarketState(MarketBatch):
 
     def apply_consumption(self, agent_id: int, item_id: int, round_no: int) -> None:
         """Commit one consumption event and update the running caches."""
+        _check_round(round_no)
         _check_agent(self, agent_id)
         _check_item(self, item_id)
         i, a = int(agent_id), int(item_id)
         if self.consumed[i, a]:
             raise ValueError("agent %d already consumed item %d" % (i, a))
-        self.consumed[i, a] = 1
-        self.consumed_round[i, a] = round_no
+        self.consumed[i, a] = round_no
         self.counts[a] += 1
         nbrs = self.graph.neighbor_array(i)
         self.nbr_counts[nbrs, a] += 1
@@ -478,6 +459,12 @@ def _check_advertisement(a: float, name: str = "advertisement") -> None:
 def _check_tolerance(t: float) -> None:
     if not 0.0 < t <= 1.0:
         raise ValueError("tolerance: must be in (0, 1] (got %r)" % (t,))
+
+
+def _check_round(round_no: int) -> None:
+    # consumed holds the round label as int32, and 0 means not consumed.
+    if not 1 <= round_no < 2**31:
+        raise ValueError("round_no: must be in [1, 2^31) (got %r)" % (round_no,))
 
 
 def _check_agent(state: MarketState, agent_id: int) -> None:
@@ -501,7 +488,7 @@ def social_pressure(state: MarketState, agent_id: int, item_id: int) -> float:
     nbrs = state.graph.neighbor_array(int(agent_id))
     if len(nbrs) == 0:
         return 0.0
-    count = int(state.consumed[nbrs, int(item_id)].sum())
+    count = int(np.count_nonzero(state.consumed[nbrs, int(item_id)]))
     return count / len(nbrs)
 
 
@@ -523,13 +510,13 @@ def marketing_effect(advertisement: float, tolerance: float) -> float:
 def sigmoid(x: float, beta: float = 1.0, center: float = 0.5) -> float:
     """Logistic curve 1 / (1 + exp(-beta * (x - center))).
 
-    beta controls steepness and must be positive; center is the midpoint
-    where the curve crosses 1/2. Evaluated in the numerically stable
-    branch-by-sign form, so extreme arguments saturate to 0 or 1 instead of
-    overflowing.
+    beta controls steepness and must be positive and finite; center is
+    the midpoint where the curve crosses 1/2. Evaluated in the numerically
+    stable branch-by-sign form, so extreme arguments saturate to 0 or 1
+    instead of overflowing.
     """
-    if not beta > 0.0:
-        raise ValueError("beta: must be > 0 (got %r)" % (beta,))
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta: must be > 0 and finite (got %r)" % (beta,))
     t = beta * (x - center)
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
@@ -580,5 +567,5 @@ def quality(state: MarketState, item_id: int) -> float:
 def market_share(state: MarketState, item_id: int) -> float:
     """Fraction of agents who have consumed the item."""
     _check_item(state, item_id)
-    count = int(state.consumed[:, int(item_id)].sum())
+    count = int(np.count_nonzero(state.consumed[:, int(item_id)]))
     return count / state.n_agents

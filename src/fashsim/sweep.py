@@ -39,7 +39,8 @@ OBJECTIVES = ("final_share", "integrated_share")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional grid sweep over a single parameter."""
+    """One-dimensional grid sweep over a single parameter. An advertisement
+    sweep needs a base config with a tracked item (see tracked_item_id)."""
 
     base: SimulationConfig
     parameter: str
@@ -58,6 +59,8 @@ class SweepSpec:
             raise ValueError("runs: need at least 1 (got %d)" % self.runs)
         for v in self.grid:
             _check_grid_value(self.parameter, v)
+        if self.parameter == "advertisement":
+            tracked_item_id(self.base)
 
 
 def _check_grid_value(parameter: str, v: float) -> None:

@@ -32,7 +32,7 @@ def mp_social_pressure(state, i, a):
     nbrs = state.graph.neighbor_array(i)
     if len(nbrs) == 0:
         return mp.mpf(0)
-    return mp.mpf(int(state.consumed[nbrs, a].sum())) / len(nbrs)
+    return mp.mpf(int(np.count_nonzero(state.consumed[nbrs, a]))) / len(nbrs)
 
 
 def mp_opinion_state(state, i, a):
@@ -51,7 +51,7 @@ def mp_utility_state(state, i, a):
     else:
         blend = mp.mpf(1 if state.consumed[i, a] else 0)
     m_eff = mp.mpf(state.advertisement[a]) * mp.mpf(state.tolerance[i])
-    share = mp.mpf(int(state.consumed[:, a].sum())) / state.n_agents
+    share = mp.mpf(int(np.count_nonzero(state.consumed[:, a]))) / state.n_agents
     pen = mp_sigmoid(share, p.beta, p.sigmoid_center) * mp.mpf(state.advertisement[a])
     return g * s + (1 - g) * blend + m_eff - pen
 
@@ -224,8 +224,7 @@ def brute_force_trace(config):
         choices = brute_force_round(state)
         label = state.round + 1
         for i, a in choices:
-            state.consumed[i, a] = 1
-            state.consumed_round[i, a] = label
+            state.consumed[i, a] = label
             state.counts[a] += 1
             state.nbr_counts[state.graph.neighbor_array(i), a] += 1
         state.round = label

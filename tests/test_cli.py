@@ -751,6 +751,23 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("fashsim: error: out:")
         assert not (tmp_path / "env").exists()
 
+    def test_a_blank_env_out_is_exit_1(self, tmp_path, cfg_file, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for blank in ("", "  "):
+            monkeypatch.setenv("FASHSIM_OUT", blank)
+            assert main(["run", "--config", cfg_file]) == 1
+            assert capsys.readouterr().err.startswith("fashsim: error: FASHSIM_OUT:")
+        assert list(work.iterdir()) == []  # no directory named by the blanks
+        assert main(["run", "--config", cfg_file, "--out", str(tmp_path / "o")]) == 0
+
+    def test_rounds_beyond_the_int32_record_are_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["run", "--rounds", "2147483648", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("fashsim: error: rounds:")
+        assert not (tmp_path / "o").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_reports_the_version(self):

@@ -91,6 +91,9 @@ class TestConfigValidation:
             SimulationConfig(m_initial=0)
         with pytest.raises(ValueError):
             SimulationConfig(rounds=0)
+        with pytest.raises(ValueError, match="rounds"):
+            SimulationConfig(rounds=2**31)  # round labels are int32
+        SimulationConfig(rounds=2**31 - 1)
         with pytest.raises(ValueError):
             SimulationConfig(mode="hybrid")
         with pytest.raises(ValueError):
@@ -243,7 +246,6 @@ class TestStep:
 
 def assert_same_commits(got, want):
     assert np.array_equal(got.consumed, want.consumed)
-    assert np.array_equal(got.consumed_round, want.consumed_round)
     assert np.array_equal(got.counts, want.counts)
     assert np.array_equal(got.nbr_counts, want.nbr_counts)
 
@@ -317,6 +319,9 @@ class TestCommitRound:
         for agents, items in bad:
             with pytest.raises(ValueError):
                 state.commit_round(np.array(agents), np.array(items), 1)
+        for round_no in (0, -1, 2**31):  # 0 means not consumed; labels are int32
+            with pytest.raises(ValueError, match="round_no"):
+                state.commit_round(np.array([0]), np.array([0]), round_no)
         assert not state.consumed.any()
 
 
@@ -330,7 +335,7 @@ def reference_choices(state):
     out = np.empty(state.n_agents, dtype=np.int64)
     kernel.decide_round(
         state.liking, state.tolerance, ads, state.penalties(),
-        state.nbr_counts, state.degrees, state.consumed,
+        state.nbr_counts, state.graph.degrees, state.consumed,
         p.gamma, not fashion or p.utility_social_blend == "liking", state.m,
         float(p.min_utility) if has_min else 0.0, has_min, out,
     )
@@ -728,6 +733,18 @@ def batch_base(kind, mode, blend, liking, floor, n=12):
     )
 
 
+def batch_of(states):
+    """Round-0 single-run states as one MarketBatch, run b the b-th."""
+    m = states[0].m
+    return MarketBatch(
+        [s.params for s in states], [s.graph for s in states], states[0].mode,
+        np.concatenate([s.liking[:, :m] for s in states]),
+        np.concatenate([s.tolerance for s in states]),
+        np.stack([s.advertisement[:m] for s in states]),
+        capacity=states[0].liking.shape[1],
+    )
+
+
 SWEEP_GRIDS = {
     "advertisement": (0.0, 0.45, 1.0),
     "beta": (0.5, 6.0, 40.0),
@@ -812,9 +829,9 @@ class TestBatches:
             assert isinstance(lone, MarketState)
             assert bits(counts[b]) == bits(lone_counts[0])
             rows = slice(b * n, (b + 1) * n)
-            for name in ("liking", "tolerance", "consumed", "consumed_round",
-                         "nbr_counts", "degrees"):
+            for name in ("liking", "tolerance", "consumed", "nbr_counts"):
                 assert bits(getattr(batch, name)[rows]) == bits(getattr(lone, name)), name
+            assert bits(batch.graph.degrees[rows]) == bits(lone.graph.degrees)
             assert bits(batch.counts[b]) == bits(lone.counts)
             assert bits(batch.advertisement[b]) == bits(lone.advertisement)
             assert bits(batch.intro_rounds) == bits(lone.intro_rounds)
@@ -826,7 +843,7 @@ class TestBatches:
                                 params=MarketParams(gamma=g, beta=b, intro_period=2))
                    for s, g, b in [(1, 0.9, 1.0), (2, 0.2, 12.0), (3, 0.9, 3.0)]]
         lone = [init_market(c) for c in configs]
-        batch = MarketBatch.stack(lone, 3)
+        batch = batch_of(lone)
         rngs = [rng_from(c.seed) for c in configs]
         for _ in range(configs[0].rounds):
             if batch.round > 0 and batch.round % 2 == 0:
@@ -848,20 +865,33 @@ class TestBatches:
                                                     state.nbr_counts, state.consumed]))
         assert state.counts.sum() > 0
 
-    def test_stack_rejects_markets_of_another_shape(self):
-        a = init_market(small_config(seed=1))
-        for other in (small_config(seed=2, n_agents=7), small_config(seed=2, mode="cultural"),
-                      small_config(seed=2, params=MarketParams(intro_period=3))):
-            with pytest.raises(ValueError, match="one shape"):
-                MarketBatch.stack([a, init_market(other)], 2)
-        moved = init_market(small_config(seed=2))
-        step(moved)
-        with pytest.raises(ValueError, match="one shape"):
-            MarketBatch.stack([a, moved], 2)
+    def test_the_constructor_rejects_runs_of_another_shape(self):
+        a, b = init_market(small_config(seed=1)), init_market(small_config(seed=2))
+        m = a.m
+        ok = dict(run_params=[a.params, b.params], graphs=[a.graph, b.graph],
+                  mode="fashion", liking=np.concatenate([a.liking[:, :m], b.liking[:, :m]]),
+                  tolerance=np.concatenate([a.tolerance, b.tolerance]),
+                  advertisement=np.zeros(m))
+        for change, match in [
+            (dict(graphs=[a.graph, build_ring(7, 2)]), "graph of 6 agents"),
+            (dict(graphs=[a.graph]), "one graph per run"),
+            (dict(run_params=[a.params, MarketParams(intro_period=3)]), "differ only in"),
+            (dict(run_params=[a.params, replace(a.params, min_utility=0.1)]),
+             "differ only in"),
+            (dict(liking=a.liking[:, :m]), "row count 6"),
+            (dict(tolerance=a.tolerance), "tolerance"),
+            (dict(advertisement=np.zeros((3, m))), "advertisement"),
+            (dict(mode="hybrid"), "mode"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                MarketBatch(**dict(ok, **change))
+        other = replace(a.params, gamma=0.1, beta=9.0, tracked_intro_ad=0.2)
+        batch = MarketBatch(**dict(ok, run_params=[a.params, other]))
+        assert batch.run_params == (a.params, other) and batch.runs == 2
 
     def test_uniform_introductions_need_one_generator_per_run(self):
         cfg = small_config(params=MarketParams(intro_period=2, new_item_liking="uniform"))
-        batch = MarketBatch.stack([init_market(cfg), init_market(replace(cfg, seed=8))], 2)
+        batch = batch_of([init_market(cfg), init_market(replace(cfg, seed=8))])
         with pytest.raises(ValueError, match="one generator per run"):
             introduce_items(batch, [rng_from(1)])
 

@@ -68,7 +68,7 @@ def random_state(rng, mode="fashion", blend="liking", consume_frac=0.4):
     for i in range(n):
         for a in range(m):
             if rng.random() < consume_frac:
-                state.apply_consumption(i, a, 1)
+                state.apply_consumption(i, a, 1 + (i + a) % 5)
     return state
 
 
@@ -86,6 +86,10 @@ class TestSigmoid:
             sigmoid(0.5, 0.0, 0.5)
         with pytest.raises(ValueError):
             sigmoid(0.5, -2.0, 0.5)
+        with pytest.raises(ValueError):
+            sigmoid(0.5, math.inf, 0.5)  # was NaN: inf * 0.0
+        with pytest.raises(ValueError):
+            penalty(0.5, 0.7, math.inf, 0.5)
 
     def test_matches_mpmath_on_random_inputs(self):
         rng = rng_from(101)
@@ -391,15 +395,26 @@ class TestStateContainers:
         with pytest.raises(ValueError):
             state.apply_consumption(0, 0, 2)
 
+    def test_round_labels_fit_the_record(self):
+        """consumed holds each round label as int32, and 0 means not
+        consumed, so labels outside [1, 2^31) are rejected unwritten."""
+        state = star_state()
+        for bad in (0, -1, 2**31):
+            with pytest.raises(ValueError, match="round_no"):
+                state.apply_consumption(0, 0, bad)
+        assert not state.consumed.any() and state.counts[0] == 0
+        state.apply_consumption(0, 0, 2**31 - 1)
+        assert state.agent(0).consumed == {0: 2**31 - 1}
+
     def test_caches_stay_consistent_with_the_matrix(self):
         rng = rng_from(17)
         state = random_state(rng, consume_frac=0.5)
         g = state.graph
         for a in range(state.m):
-            assert state.counts[a] == int(state.consumed[:, a].sum())
+            assert state.counts[a] == np.count_nonzero(state.consumed[:, a])
             for i in range(state.n_agents):
                 nbrs = g.neighbor_array(i)
-                want = int(state.consumed[nbrs, a].sum()) if len(nbrs) else 0
+                want = np.count_nonzero(state.consumed[nbrs, a])
                 assert state.nbr_counts[i, a] == want
 
     def test_agent_and_item_snapshots(self):

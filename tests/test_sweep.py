@@ -115,6 +115,14 @@ class TestTrackedItem:
         with pytest.raises(ValueError):
             tracked_item_id(sweep_config(rounds=3))
 
+    def test_advertisement_sweeps_need_a_tracked_item(self):
+        """Without one, every grid value would give the same point."""
+        for cfg, match in ((sweep_config(mode="cultural"), "mode"),
+                           (sweep_config(rounds=3), "intro_period")):
+            with pytest.raises(ValueError, match=match):
+                SweepSpec(cfg, "advertisement", (0.0, 1.0))
+            SweepSpec(cfg, "beta", (1.0, 5.0))  # other parameters need none
+
 
 class TestAdvertisementCollapse:
     def test_unadvertised_tracked_item_is_never_chosen(self):
