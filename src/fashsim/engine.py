@@ -50,12 +50,16 @@ __all__ = [
 DEFAULT_SEED = 42
 
 # Cell budget of one batch: runs stepped together hold at most this many
-# (agent, item-capacity) cells, about 1.2 MB at 36 bytes per cell (liking
+# (agent, item-capacity) cells, about 9.4 MB at 36 bytes per cell (liking
 # f8, consumed i4, nbr_counts i8, the score table f8 and its scratch buffer
-# f8). A run larger than the budget is a batch of one. On the paper's
-# 100-agent runs, 2^15 cells (6 runs) is as fast as 2^16 within 3%, and
-# 2^16 adds about 1 MiB to the peak memory of an optimize call.
-BATCH_CELLS = 1 << 15
+# f8). A run larger than the budget is a batch of one. The paper's
+# experiment (ring, 100 runs x 11 advertisement levels, min of 2 calls,
+# 2 vCPUs) at 2^15 / 2^16 / 2^17 / 2^18 cells took, at n = 100 (5,400
+# cells a run), 2.88-3.31 / 2.45-2.63 / 2.32-2.41 / 2.09-2.31 s with peak
+# RSS 43 / 44 / 47 / 53 MiB, and at n = 500, 14.0-14.9 / 11.2-12.2 /
+# 11.2-11.4 / 10.7-10.8 s with 41 / 42 / 44 / 50 MiB. It stays below two
+# 5,000-agent, 50-item runs (500,000 cells), so those never share a batch.
+BATCH_CELLS = 1 << 18
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -211,21 +215,29 @@ def _new_market(configs: Sequence[SimulationConfig],
                 rngs: Sequence[np.random.Generator]) -> MarketBatch:
     """Round-0 market of runs of one shape (equal _batch_key): run b draws
     its graph, catalog likings and tolerances, in that order, from
-    rngs[b] straight into its rows. One run is a MarketState."""
+    rngs[b]. One run is a MarketState.
+
+    The streams are independent, so every graph is drawn first and the
+    market is built around zero likings and unit tolerances (a broadcast
+    view and a vector, no (rows, m) buffer); each run's likings then go
+    into its rows through one (n, m) draw, and its tolerances in place."""
     first = configs[0]
     n, m, runs = first.n_agents, first.m_initial, len(configs)
-    graphs = []
-    liking, tolerance = np.empty((runs * n, m)), np.empty(runs * n)
-    for b, (config, rng) in enumerate(zip(configs, rngs)):
-        graphs.append(config.topology.build(n, rng))
-        rng.random(out=liking[b * n:(b + 1) * n])
-        rng.random(out=tolerance[b * n:(b + 1) * n])
-    np.subtract(1.0, tolerance, out=tolerance)  # flip [0,1) to (0,1]
-    args = (first.mode, liking, tolerance, np.full(m, first.params.catalog_ads))
+    graphs = [c.topology.build(n, rng) for c, rng in zip(configs, rngs)]
+    args = (first.mode, np.broadcast_to(0.0, (runs * n, m)), np.ones(runs * n),
+            np.full(m, first.params.catalog_ads))
     capacity = _final_item_count(first)
     if runs == 1:
-        return MarketState(first.params, graphs[0], *args, capacity=capacity)
-    return MarketBatch([c.params for c in configs], graphs, *args, capacity=capacity)
+        market = MarketState(first.params, graphs[0], *args, capacity=capacity)
+    else:
+        market = MarketBatch([c.params for c in configs], graphs, *args,
+                             capacity=capacity)
+    for b, rng in enumerate(rngs):
+        rows = slice(b * n, (b + 1) * n)
+        market.liking[rows, :m] = rng.random((n, m))
+        rng.random(out=market.tolerance[rows])
+    np.subtract(1.0, market.tolerance, out=market.tolerance)  # flip [0,1) to (0,1]
+    return market
 
 
 def introduce_items(state: MarketBatch, rng=None) -> Tuple[int, ...]:

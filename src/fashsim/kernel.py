@@ -72,17 +72,25 @@ class ScoreTable:
         lo, hi = self.m, st.m
         if hi == lo:
             return
+        # Built in place in the new columns, the scratch buffer (free until
+        # choose) holding each added term, so the first sync of a full
+        # batch allocates no float64 temporary (x * g is g * x in IEEE
+        # arithmetic, so the operations are those of refresh).
         g = self._gamma
-        c = g * (st.nbr_counts[:, lo:hi] / self._denom[:, None])
+        c = self.scores[:, lo:hi]
+        term = self._scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
+        np.divide(st.nbr_counts[:, lo:hi], self._denom[:, None], out=c)
+        np.multiply(c, g, out=c)
         if self._blend_liking:
-            c += (1.0 - g) * st.liking[:, lo:hi]
+            np.multiply(st.liking[:, lo:hi], 1.0 - g, out=term)
+            c += term
         if self._fashion:
             runs, n = self._runs, self._run_size
-            pull = (st.tolerance.reshape(runs, n, 1)
-                    * st.advertisement.reshape(-1, 1, cap)[:, :, lo:hi])
-            c += pull.reshape(rows, hi - lo)
-        c[st.consumed[:, lo:hi] != 0] = -np.inf
-        self.scores[:, lo:hi] = c
+            np.multiply(st.tolerance.reshape(runs, n, 1),
+                        st.advertisement.reshape(-1, 1, cap)[:, :, lo:hi],
+                        out=term.reshape(runs, n, hi - lo))
+            c += term
+        np.copyto(c, -np.inf, where=st.consumed[:, lo:hi] != 0)
         self.m = hi
 
     def choose(self, pen: np.ndarray):

@@ -906,3 +906,22 @@ class TestBatches:
         assert cut == [[(0, 0), (0, 1), (1, 0)], [(1, 1)], [(2, 0), (2, 1)]]
         monkeypatch.setattr(engine, "BATCH_CELLS", cells - 1)
         assert [len(b) for b in engine._batches(work)] == [1] * 6
+
+    def test_the_default_budget_fits_what_it_was_chosen_for(self):
+        """One batch holds the 33 runs of an optimize call on the paper's
+        shape (11 advertisement levels x 3 runs of 100 agents, 54 item
+        slots), and a 5,000-agent, 50-item cultural run never shares one."""
+        paper = SimulationConfig(
+            n_agents=100, m_initial=50, rounds=30,
+            params=MarketParams(gamma=0.95, beta=10.0, intro_period=6,
+                                intro_ads=(0.7,)))
+        assert engine._final_item_count(paper) == 54
+        work = [(p, i, replace(paper, seed=derive_seed(11, i), params=replace(
+                    paper.params, tracked_intro_ad=p / 10)))
+                for p in range(11) for i in range(3)]
+        assert [len(b) for b in engine._batches(work)] == [33]
+
+        large = SimulationConfig(n_agents=5000, m_initial=50, mode="cultural",
+                                 topology=TopologySpec(kind="random", p=0.002))
+        work = [(0, i, replace(large, seed=derive_seed(11, i))) for i in range(3)]
+        assert [len(b) for b in engine._batches(work)] == [1, 1, 1]
