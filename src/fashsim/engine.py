@@ -27,7 +27,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernel
 from .graph import TopologySpec
 from .model import MODES, MarketBatch, MarketParams, MarketState, shared_params
 
@@ -51,7 +50,7 @@ DEFAULT_SEED = 42
 
 # Cell budget of one batch: runs stepped together hold at most this many
 # (agent, item-capacity) cells, about 9.4 MB at 36 bytes per cell (liking
-# f8, consumed i4, nbr_counts i8, the score table f8 and its scratch buffer
+# f8, consumed i4, nbr_counts i8, the score cache f8 and its scratch buffer
 # f8). A run larger than the budget is a batch of one. The paper's
 # experiment (ring, 100 runs x 11 advertisement levels, min of 2 calls,
 # 2 vCPUs) at 2^15 / 2^16 / 2^17 / 2^18 cells took, at n = 100 (5,400
@@ -280,33 +279,23 @@ def introduce_items(state: MarketBatch, rng=None) -> Tuple[int, ...]:
                               likings, intro_round=state.round)
 
 
-def step(state: MarketBatch,
-         table: Optional[kernel.ScoreTable] = None) -> np.ndarray:
+def step(state: MarketBatch) -> np.ndarray:
     """Advance one synchronous round of a market or batch; returns the
     committed events.
 
     The result is an (events, 2) int64 array of (agent, item) rows in
     ascending agent order (agent rows over all runs of a batch); the round
-    they belong to is the new state.round. Choices come from the
-    kernel.ScoreTable, and all of the round's consumptions are written by
-    one commit_round call. Without a table, step scores the state from
-    scratch, so standalone calls need none; a table passed in must have
-    followed every earlier round of this state (run() keeps one).
+    they belong to is the new state.round. The choices come from
+    state.choose and all of the round's consumptions are written by one
+    state.commit_round call, which keep the market's score cache whole
+    between rounds.
     """
     round_label = state.round + 1
     if state.m == 0:
         state.round = round_label
         return np.empty((0, 2), dtype=np.int64)
-    if table is None:
-        table = kernel.ScoreTable(state)
-    elif table.state is not state:
-        raise ValueError("table: built for another MarketState or batch")
-    else:
-        table.sync()
-
-    agents, items = table.choose(state.penalties())
-    rows, cols = state.commit_round(agents, items, round_label)
-    table.refresh(rows, cols, agents, items)
+    agents, items = state.choose()
+    state.commit_round(agents, items, round_label)
     state.round = round_label
     return np.column_stack((agents, items))
 
@@ -327,7 +316,6 @@ def _simulate(configs: Sequence[SimulationConfig],
     first = configs[0]
     rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in configs]
     market = _new_market(configs, rngs)
-    table = kernel.ScoreTable(market)
     period = first.params.intro_period
     R = first.rounds
     m_final = _final_item_count(first)
@@ -337,7 +325,7 @@ def _simulate(configs: Sequence[SimulationConfig],
     for t in range(R):
         if first.mode == "fashion" and market.round > 0 and market.round % period == 0:
             introduce_items(market, rngs)
-        round_events = step(market, table)
+        round_events = step(market)
         counts[:, t, :market.m] = run_counts[:, :market.m]
         if keep_events:
             events.append(round_events)

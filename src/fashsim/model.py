@@ -152,6 +152,27 @@ class MarketBatch:
     running caches (consumers per item; per-agent count of neighbours who
     consumed each item) that ``commit_round`` updates once per round.
 
+    ``scores`` caches every agent row's round-independent score for every
+    live item,
+
+        scores[i, a] = (gamma * s[i, a] + (1 - gamma) * liking[i, a])
+                       + tolerance[i] * advertisement[a]
+
+    where s[i, a] is the fraction of i's neighbours who consumed a, gamma
+    and advertisement are those of i's run, and -inf where i already
+    consumed a. Cultural mode drops the marketing term, and the
+    literal_consumption blend drops the liking term, as in
+    ``kernel.decide_round``. Its first ``_scored`` columns are current:
+    ``choose`` scores the columns from there up to m, and
+    ``commit_round`` re-scores the cells whose neighbour counts it raised.
+    Every cell goes through the same IEEE-754 operations in the same order
+    as ``decide_round``, so the choices are those of a full recompute, bit
+    for bit, whichever runs share the batch. ``apply_consumption``, and a
+    ``commit_round`` while some live column is unscored, reset the
+    watermark to 0, so the next ``choose`` scores from scratch; other
+    writes to the arrays are not followed. The market owns the cache and
+    its scratch buffer, so batches on different threads share no memory.
+
     A MarketState is a batch of one run whose ``counts`` and
     ``advertisement`` have no run axis; the methods here index them as
     ``[..., :m]`` or flatten them, so they serve both.
@@ -160,7 +181,8 @@ class MarketBatch:
     __slots__ = (
         "params", "run_params", "runs", "run_size", "graph", "mode", "round",
         "m", "m_initial", "liking", "tolerance", "advertisement", "intro_rounds",
-        "consumed", "counts", "nbr_counts", "_sigmoid",
+        "consumed", "counts", "nbr_counts", "scores", "_scratch", "_scored",
+        "_denom", "_gamma", "_sigmoid",
     )
 
     def __init__(
@@ -171,7 +193,6 @@ class MarketBatch:
         liking: np.ndarray,
         tolerance: np.ndarray,
         advertisement: np.ndarray,
-        intro_rounds: Optional[np.ndarray] = None,
         capacity: Optional[int] = None,
     ):
         """Round 0 of len(graphs) runs, run b on graphs[b] with run_params[b]:
@@ -211,12 +232,6 @@ class MarketBatch:
             raise ValueError("tolerance: values must be in (0, 1]")
         if m and (advertisement.min() < 0.0 or advertisement.max() > 1.0):
             raise ValueError("advertisement: values must be in [0, 1]")
-        if intro_rounds is not None:
-            intro_rounds = np.asarray(intro_rounds, dtype=np.int64)
-            if intro_rounds.shape != (m,):
-                raise ValueError("intro_rounds: expected shape (%d,)" % m)
-            if m and intro_rounds.min() < 0:
-                raise ValueError("intro_rounds: must be >= 0")
 
         cap = max(m, capacity if capacity is not None else m)
         self.params = run_params[0]
@@ -242,11 +257,18 @@ class MarketBatch:
         self.advertisement = np.zeros((runs, cap), dtype=np.float64)
         self.advertisement[:, :m] = advertisement
         self.intro_rounds = np.zeros(cap, dtype=np.int64)
-        if intro_rounds is not None:
-            self.intro_rounds[:m] = intro_rounds
         self.consumed = np.zeros((rows, cap), dtype=np.int32)
         self.counts = np.zeros((runs, cap), dtype=np.int64)
         self.nbr_counts = np.zeros((rows, cap), dtype=np.int64)
+        self.scores, self._scratch = np.empty((rows, cap)), np.empty(rows * cap)
+        self._scored = 0
+        # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
+        # the +0.0 that decide_round leaves where deg == 0.
+        self._denom = np.maximum(self.graph.degrees, 1).astype(np.float64)
+        # One gamma when the runs agree, else a column of each row's gamma.
+        gammas = [q.gamma for q in run_params]
+        self._gamma = self.params.gamma if len(set(gammas)) == 1 else (
+            np.repeat(np.array(gammas, dtype=np.float64), n)[:, None])
         self._sigmoid = None
 
     @property
@@ -258,8 +280,58 @@ class MarketBatch:
     def n_items(self) -> int:
         return self.m
 
+    def choose(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This round's consumers and their items, agent rows ascending.
+
+        Scores the live columns not yet in ``scores``, subtracts each run's
+        ``penalties`` (fashion mode only) and takes each row's argmax, ties
+        to the lowest item id. An agent abstains when nothing is left for
+        it (best score -inf) or its best score is below min_utility.
+        """
+        self._score_columns()
+        rows, m = self.n_agents, self.m
+        scores = self.scores[:, :m]
+        if self.mode == "fashion":
+            out = self._scratch[:rows * m].reshape(self.runs, self.run_size, m)
+            np.subtract(scores.reshape(out.shape), self.penalties().reshape(-1, 1, m),
+                        out=out)
+            scores = out.reshape(rows, m)
+        choice = scores.argmax(axis=1)  # first max = lowest id
+        best = scores[np.arange(rows), choice]
+        floor = self.params.min_utility
+        keep = best != -np.inf if floor is None else best >= float(floor)
+        agents = np.flatnonzero(keep)
+        return agents, choice[agents]
+
+    def _score_columns(self) -> None:
+        """Score columns _scored to m in place, the scratch buffer (free
+        until choose subtracts the penalties) holding each added term, so
+        a first call on a full batch allocates no float64 temporary (x * g
+        is g * x in IEEE arithmetic, so the operations are those of
+        _rescore)."""
+        lo, hi = self._scored, self.m
+        if hi == lo:
+            return
+        rows, cap = self.scores.shape
+        g = self._gamma
+        c = self.scores[:, lo:hi]
+        term = self._scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
+        np.divide(self.nbr_counts[:, lo:hi], self._denom[:, None], out=c)
+        np.multiply(c, g, out=c)
+        if self.mode != "fashion" or self.params.utility_social_blend == "liking":
+            np.multiply(self.liking[:, lo:hi], 1.0 - g, out=term)
+            c += term
+        if self.mode == "fashion":
+            runs, n = self.runs, self.run_size
+            np.multiply(self.tolerance.reshape(runs, n, 1),
+                        self.advertisement.reshape(-1, 1, cap)[:, :, lo:hi],
+                        out=term.reshape(runs, n, hi - lo))
+            c += term
+        np.copyto(c, -np.inf, where=self.consumed[:, lo:hi] != 0)
+        self._scored = hi
+
     def commit_round(self, agents: np.ndarray, items: np.ndarray,
-                     round_no: int) -> Tuple[np.ndarray, np.ndarray]:
+                     round_no: int) -> None:
         """Commit one round's consumptions together: agents[k] consumed items[k].
 
         Agents are rows over all runs and must be strictly ascending (one
@@ -268,9 +340,9 @@ class MarketBatch:
         ``MarketState.apply_consumption``, in any order. The whole batch is
         validated before anything is written.
 
-        Returns (rows, cols): the ``nbr_counts`` cells it incremented, one
-        entry per increment, so callers that cache scores can refresh just
-        those cells.
+        When every live column is scored, the cells whose neighbour counts
+        rose are re-scored and the consumed pairs set to -inf; otherwise
+        the score watermark drops to 0 (see the class docstring).
         """
         _check_round(round_no)
         agents = np.asarray(agents, dtype=np.int64)
@@ -278,7 +350,7 @@ class MarketBatch:
         if agents.ndim != 1 or agents.shape != items.shape:
             raise ValueError("agents, items: expected two 1-d arrays of equal length")
         if len(agents) == 0:
-            return agents, items
+            return
         if agents[0] < 0 or agents[-1] >= self.n_agents or np.any(agents[1:] <= agents[:-1]):
             raise ValueError("agents: expected strictly ascending ids in [0, %d)"
                              % self.n_agents)
@@ -295,19 +367,51 @@ class MarketBatch:
         # every agent is in run 0, so the index is the item id).
         counts = self.counts.reshape(-1)
         counts += np.bincount(agents // self.run_size * cap + items, minlength=counts.size)
-        # Neighbour rows of the consumers, gathered from the CSR arrays, and
-        # each consumer's item repeated once per neighbour.
+        rows, cols = self._neighbour_cells(agents, items)
+        flat = rows * cap
+        flat += cols
+        # nbr_counts and scores are allocated C-contiguous (by __init__ and
+        # _grow), so the reshapes are views and the flat writes land in them.
+        np.add.at(self.nbr_counts.reshape(-1), flat, 1)
+        if self._scored != self.m:
+            self._scored = 0
+            return
+        self._rescore(rows, cols, flat)
+        self.scores.reshape(-1).put(agents * cap + items, -np.inf)
+
+    def _neighbour_cells(self, agents: np.ndarray,
+                         items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The neighbour rows of the consumers, gathered from the CSR
+        arrays, and each consumer's item repeated once per neighbour."""
         offsets = self.graph.offsets
         starts = offsets[agents]
         lens = offsets[agents + 1] - starts
         ends = np.cumsum(lens)
         pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-        targets = self.graph.targets[pos]
-        cols = np.repeat(items, lens)
-        # nbr_counts is allocated C-contiguous (by __init__ and _grow), so
-        # the reshape is a view and the flat scatter lands in it.
-        np.add.at(self.nbr_counts.reshape(-1), targets * cap + cols, 1)
-        return targets, cols
+        return self.graph.targets[pos], np.repeat(items, lens)
+
+    def _rescore(self, rows: np.ndarray, cols: np.ndarray, flat: np.ndarray) -> None:
+        """Re-score the cells (rows, cols), flat index flat, repeats
+        allowed: the operations of _score_columns, gathered per cell and
+        done in place."""
+        cap = self.scores.shape[1]
+        g = self._gamma
+        if np.ndim(g):
+            g = g.take(rows)
+        c = self.nbr_counts.reshape(-1).take(flat) / self._denom.take(rows)
+        c *= g
+        if self.mode != "fashion" or self.params.utility_social_blend == "liking":
+            liked = self.liking.reshape(-1).take(flat)
+            liked *= 1.0 - g
+            c += liked
+        if self.mode == "fashion":
+            pull = self.tolerance.take(rows)
+            # Each row's run picks its row of the (runs, cap) advertisement.
+            ad_at = cols if self.runs == 1 else rows // self.run_size * cap + cols
+            pull *= self.advertisement.reshape(-1).take(ad_at)
+            c += pull
+        np.copyto(c, -np.inf, where=self.consumed.reshape(-1).take(flat) != 0)
+        self.scores.reshape(-1).put(flat, c)
 
     def penalties(self) -> np.ndarray:
         """Every live item's saturation penalty for the coming round, one
@@ -371,11 +475,13 @@ class MarketBatch:
         cap = self.liking.shape[1]
         new_cap = max(need, cap * 2, cap + 4)
         for name, fill in (("liking", 0.0), ("advertisement", 0.0), ("intro_rounds", 0),
-                           ("consumed", 0), ("counts", 0), ("nbr_counts", 0)):
+                           ("consumed", 0), ("counts", 0), ("nbr_counts", 0),
+                           ("scores", 0.0)):
             old = getattr(self, name)
             new = np.full(old.shape[:-1] + (new_cap,), fill, dtype=old.dtype)
             new[..., :cap] = old
             setattr(self, name, new)
+        self._scratch = np.empty(self.scores.size)
 
 
 class MarketState(MarketBatch):
@@ -386,7 +492,7 @@ class MarketState(MarketBatch):
     ``intro_rounds`` are per-item vectors, and the scalar accessors below
     read one agent or item. ``apply_consumption`` is the scalar one-event
     form of ``commit_round`` that tests replay as the reference; both keep
-    the caches consistent with the ``consumed`` matrix.
+    the counters consistent with the ``consumed`` matrix.
     """
 
     __slots__ = ()
@@ -399,11 +505,10 @@ class MarketState(MarketBatch):
         liking: np.ndarray,
         tolerance: np.ndarray,
         advertisement: np.ndarray,
-        intro_rounds: Optional[np.ndarray] = None,
         capacity: Optional[int] = None,
     ):
         super().__init__((params,), (graph,), mode, liking, tolerance, advertisement,
-                         intro_rounds, capacity)
+                         capacity)
         self.counts, self.advertisement = self.counts[0], self.advertisement[0]
 
     def agent(self, agent_id: int) -> Agent:
@@ -438,7 +543,8 @@ class MarketState(MarketBatch):
         return bool(self.consumed[agent_id, item_id])
 
     def apply_consumption(self, agent_id: int, item_id: int, round_no: int) -> None:
-        """Commit one consumption event and update the running caches."""
+        """Commit one consumption event and update the running caches;
+        the score cache starts over at the next choose."""
         _check_round(round_no)
         _check_agent(self, agent_id)
         _check_item(self, item_id)
@@ -449,6 +555,7 @@ class MarketState(MarketBatch):
         self.counts[a] += 1
         nbrs = self.graph.neighbor_array(i)
         self.nbr_counts[nbrs, a] += 1
+        self._scored = 0
 
 
 def _check_advertisement(a: float, name: str = "advertisement") -> None:

@@ -58,21 +58,15 @@ class SweepSpec:
         if self.runs < 1:
             raise ValueError("runs: need at least 1 (got %d)" % self.runs)
         for v in self.grid:
-            _check_grid_value(self.parameter, v)
+            # int(2.5) truncates, so _apply alone would accept it.
+            if self.parameter == "n_agents" and not (math.isfinite(v) and v == int(v)):
+                raise ValueError("grid: n_agents values must be integers (got %r)" % (v,))
+            try:
+                _apply(self.base, self.parameter, v, self.base.seed)
+            except ValueError as exc:
+                raise ValueError("grid: %s" % exc) from None
         if self.parameter == "advertisement":
             tracked_item_id(self.base)
-
-
-def _check_grid_value(parameter: str, v: float) -> None:
-    if parameter == "advertisement" and not 0.0 <= v <= 1.0:
-        raise ValueError("grid: advertisement values must be in [0, 1] (got %r)" % (v,))
-    if parameter == "beta" and not 0.0 < v < math.inf:
-        raise ValueError("grid: beta values must be > 0 and finite (got %r)" % (v,))
-    if parameter == "gamma" and not 0.0 <= v <= 1.0:
-        raise ValueError("grid: gamma values must be in [0, 1] (got %r)" % (v,))
-    if parameter == "n_agents":
-        if not math.isfinite(v) or v != int(v) or int(v) < 2:
-            raise ValueError("grid: n_agents values must be integers >= 2 (got %r)" % (v,))
 
 
 def _apply(base: SimulationConfig, parameter: str, value: float,

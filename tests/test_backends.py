@@ -1,7 +1,7 @@
 """Tests of kernel.decide_round, the full-recompute decision reference.
 
-The engine's per-run score table is held to decide_round (see
-tests/test_engine.py::TestScoreTable); here decide_round itself is held to
+The market's score cache (model.MarketBatch.scores) is held to
+decide_round (see tests/test_engine.py::TestScoreTable); here decide_round itself is held to
 a scalar per-element recomputation of the same contract.
 """
 

@@ -342,19 +342,48 @@ def reference_choices(state):
     return out
 
 
-def step_against_the_reference(state, table):
-    """step(state, table) once; assert its events are decide_round's
-    choices and the table equals one built afresh from the new state."""
+def rescored(state):
+    """A copy of state whose score cache is rebuilt from scratch."""
+    fresh = copy.deepcopy(state)
+    fresh._scored = 0
+    fresh._score_columns()
+    return fresh
+
+
+def assert_cache_is_whole(state):
+    """Every live column of state.scores is scored and equals a
+    from-scratch rescore bit for bit."""
+    m = state.m
+    assert state._scored == m
+    assert np.array_equal(state.scores[:, :m].view(np.int64),
+                          rescored(state).scores[:, :m].view(np.int64))
+
+
+def step_against_the_reference(state):
+    """step(state) once; assert its events are decide_round's choices and
+    the score cache equals one rebuilt from the new state."""
     want = reference_choices(state)
-    events = step(state, table)
+    events = step(state)
     agents = np.flatnonzero(want >= 0)
     assert events.tolist() == np.column_stack((agents, want[agents])).tolist()
-    fresh = kernel.ScoreTable(state)
-    m = state.m
-    assert table.m == m
-    assert np.array_equal(table.scores[:, :m].view(np.int64),
-                          fresh.scores[:, :m].view(np.int64))
+    assert_cache_is_whole(state)
     return events
+
+
+def cache_config(seed):
+    return small_config(
+        n_agents=20, m_initial=12, rounds=10, seed=seed,
+        topology=TopologySpec(kind="small_world", k=4, p=0.2),
+        params=MarketParams(gamma=0.6, beta=6.0, intro_period=3,
+                            intro_ads=(0.9, 0.2), new_item_liking="uniform"))
+
+
+def open_pairs(state, count, m=None):
+    """The first `count` agents with an unconsumed item among the first m
+    (default: the live ones), and the lowest such item of each."""
+    open_cells = state.consumed[:, :state.m if m is None else m] == 0
+    agents = np.flatnonzero(open_cells.any(axis=1))[:count]
+    return agents, open_cells[agents].argmax(axis=1)
 
 
 class TestScoreTable:
@@ -391,15 +420,15 @@ class TestScoreTable:
         )
         rng = rng_from(seed)
         state = init_market(cfg, rng)
-        table = kernel.ScoreTable(state)
         for _ in range(cfg.rounds):
             if mode == "fashion" and state.round > 0 and state.round % 2 == 0:
                 introduce_items(state, rng)
-            step_against_the_reference(state, table)
+            step_against_the_reference(state)
 
     def test_follows_the_state_when_capacity_grows(self):
         """A state built without reserved capacity grows on every
-        introduction; the table passed to step must start over each time."""
+        introduction; the scores already cached move to the new arrays
+        and only the new columns are scored."""
         rng = rng_from(41)
         n, m = 30, 3
         params = MarketParams(gamma=0.7, intro_batch=2, intro_ads=(0.9, 0.4),
@@ -409,21 +438,53 @@ class TestScoreTable:
             liking=rng.random((n, m)), tolerance=1.0 - rng.random(n),
             advertisement=np.full(m, 0.2),
         )
-        table = kernel.ScoreTable(state)
         caps = {state.liking.shape[1]}
         for r in range(12):
             if r % 2 == 1:
+                before = state.scores[:, :state.m].copy()
                 introduce_items(state, rng)
                 caps.add(state.liking.shape[1])
-            step_against_the_reference(state, table)
+                kept = state.scores[:, :before.shape[1]]
+                assert state._scored == before.shape[1]
+                assert np.array_equal(kept.view(np.int64), before.view(np.int64))
+            step_against_the_reference(state)
         assert len(caps) >= 3
-        assert table.scores.shape == state.liking.shape
+        assert state.scores.shape == state.liking.shape
 
-    def test_rejects_a_table_of_another_state(self):
-        a = init_market(small_config(seed=1))
-        b = init_market(small_config(seed=2))
-        with pytest.raises(ValueError, match="another MarketState"):
-            step(b, kernel.ScoreTable(a))
+    def test_apply_consumption_then_step_scores_from_scratch(self):
+        rng = rng_from(5)
+        state = init_market(cache_config(5), rng)
+        for _ in range(8):
+            if state.round > 0 and state.round % 3 == 0:
+                introduce_items(state, rng)
+            step_against_the_reference(state)
+            label = state.round + 1
+            for i, a in zip(*open_pairs(state, 3)):
+                state.apply_consumption(int(i), int(a), label)
+                assert state._scored == 0
+            state.round = label
+
+    def test_direct_commit_then_step_follows_the_state(self):
+        """A direct commit_round on a whole cache re-scores the cells it
+        raised; one made after an introduction, before any step, leaves
+        the cache to start over."""
+        rng = rng_from(6)
+        state = init_market(cache_config(6), rng)
+        for _ in range(8):
+            step_against_the_reference(state)
+            if state.round % 3 == 0:
+                introduce_items(state, rng)
+                assert state._scored < state.m
+                # Items the cache had scored, so the raised cells lie in
+                # columns it would otherwise keep.
+                agents, items = open_pairs(state, 4, state._scored)
+                assert len(agents) > 0
+                state.commit_round(agents, items, state.round + 1)
+                assert state._scored == 0
+            else:
+                state.commit_round(*open_pairs(state, 4), state.round + 1)
+                assert_cache_is_whole(state)
+            state.round += 1
 
 
 def penalties_per_item(state):
@@ -661,7 +722,7 @@ class TestEnsembles:
         assert np.array_equal(one.per_run_final_share, many.per_run_final_share)
 
     def test_jobs_one_two_three_are_bit_equal(self):
-        """Each run owns its score table and scratch buffer, so runs on
+        """Each batch owns its score cache and scratch buffer, so runs on
         pool threads cannot disturb each other."""
         cfg = small_config(
             n_agents=150, m_initial=20, rounds=20, seed=8,
@@ -857,12 +918,10 @@ class TestBatches:
 
     def test_step_on_a_lone_state_uses_its_own_arrays(self):
         state = init_market(small_config())
-        arrays = [state.liking, state.counts, state.nbr_counts, state.consumed]
-        table = kernel.ScoreTable(state)
-        step(state, table)
-        assert table.state is state
-        assert all(a is b for a, b in zip(arrays, [state.liking, state.counts,
-                                                    state.nbr_counts, state.consumed]))
+        names = ("liking", "counts", "nbr_counts", "consumed", "scores")
+        arrays = [getattr(state, name) for name in names]
+        step(state)
+        assert all(a is getattr(state, name) for a, name in zip(arrays, names))
         assert state.counts.sum() > 0
 
     def test_the_constructor_rejects_runs_of_another_shape(self):

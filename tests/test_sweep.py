@@ -53,6 +53,10 @@ class TestSweepSpec:
             SweepSpec(cfg, "n_agents", (1,))
         with pytest.raises(ValueError):
             SweepSpec(cfg, "n_agents", (float("inf"),))
+        # A population the base topology cannot hold fails here, not in sweep().
+        ring4 = replace(cfg, topology=TopologySpec(kind="ring", k=4))
+        with pytest.raises(ValueError, match="grid: k: need 0 < k < n"):
+            SweepSpec(ring4, "n_agents", (12, 4))
 
 
 class TestSweepSeeding:
