@@ -587,12 +587,13 @@ def cmd_optimize(settings: RunSettings) -> None:
                    _manifest("optimize", settings, grid))
 
 
+# Each command's handler and its help line.
 _COMMANDS = {
-    "run": cmd_run,
-    "ensemble": cmd_ensemble,
-    "sweep-adv": cmd_sweep_adv,
-    "sweep-beta": cmd_sweep_beta,
-    "optimize": cmd_optimize,
+    "run": (cmd_run, "single simulation"),
+    "ensemble": (cmd_ensemble, "many independent runs, aggregated"),
+    "sweep-adv": (cmd_sweep_adv, "sweep the tracked item's advertisement level"),
+    "sweep-beta": (cmd_sweep_beta, "sweep the penalty sigmoid steepness"),
+    "optimize": (cmd_optimize, "grid-search the tracked item's advertisement"),
 }
 
 
@@ -609,13 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version="fashsim %s" % __version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_text in (
-        ("run", "single simulation"),
-        ("ensemble", "many independent runs, aggregated"),
-        ("sweep-adv", "sweep the tracked item's advertisement level"),
-        ("sweep-beta", "sweep the penalty sigmoid steepness"),
-        ("optimize", "grid-search the tracked item's advertisement"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, add_help=True)
         cmd.add_argument("--config", help="key=value config file or manifest.json")
         for key, (_, _, flag_help) in _KEYS.items():
@@ -639,7 +634,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](settings)
+        _COMMANDS[args.command][0](settings)
     except (ConfigError, ValueError) as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ per-round counters the engine maintains; tests lean on that independence.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,15 +163,16 @@ class MarketBatch:
     consumed a. Cultural mode drops the marketing term, and the
     literal_consumption blend drops the liking term, as in
     ``kernel.decide_round``. Its first ``_scored`` columns are current:
-    ``choose`` scores the columns from there up to m, and
-    ``commit_round`` re-scores the cells whose neighbour counts it raised.
-    Every cell goes through the same IEEE-754 operations in the same order
-    as ``decide_round``, so the choices are those of a full recompute, bit
-    for bit, whichever runs share the batch. ``apply_consumption``, and a
-    ``commit_round`` while some live column is unscored, reset the
-    watermark to 0, so the next ``choose`` scores from scratch; other
-    writes to the arrays are not followed. The market owns the cache and
-    its scratch buffer, so batches on different threads share no memory.
+    ``choose`` scores the columns from there up to m, and ``commit_round``
+    scores them too, then re-scores the cells whose neighbour counts it
+    raised, so it always leaves the cache whole. Both go through
+    ``_score``, the one copy of the formula: every cell goes through the
+    same IEEE-754 operations in the same order as ``decide_round``, so the
+    choices are those of a full recompute, bit for bit, whichever runs
+    share the batch. ``apply_consumption`` resets the watermark to 0, so
+    the next ``choose`` scores from scratch; other writes to the arrays
+    are not followed. The market owns the cache and its scratch buffer,
+    so batches on different threads share no memory.
 
     A MarketState is a batch of one run whose ``counts`` and
     ``advertisement`` have no run axis; the methods here index them as
@@ -304,30 +305,22 @@ class MarketBatch:
         return agents, choice[agents]
 
     def _score_columns(self) -> None:
-        """Score columns _scored to m in place, the scratch buffer (free
-        until choose subtracts the penalties) holding each added term, so
-        a first call on a full batch allocates no float64 temporary (x * g
-        is g * x in IEEE arithmetic, so the operations are those of
-        _rescore)."""
+        """Score columns _scored to m in place through (runs, n, columns)
+        views, the scratch buffer (free until choose subtracts the
+        penalties) holding each added term and then the consumed flags, so
+        no temporary grows with the block."""
         lo, hi = self._scored, self.m
         if hi == lo:
             return
-        rows, cap = self.scores.shape
-        g = self._gamma
-        c = self.scores[:, lo:hi]
-        term = self._scratch[:rows * (hi - lo)].reshape(rows, hi - lo)
-        np.divide(self.nbr_counts[:, lo:hi], self._denom[:, None], out=c)
-        np.multiply(c, g, out=c)
-        if self.mode != "fashion" or self.params.utility_social_blend == "liking":
-            np.multiply(self.liking[:, lo:hi], 1.0 - g, out=term)
-            c += term
-        if self.mode == "fashion":
-            runs, n = self.runs, self.run_size
-            np.multiply(self.tolerance.reshape(runs, n, 1),
-                        self.advertisement.reshape(-1, 1, cap)[:, :, lo:hi],
-                        out=term.reshape(runs, n, hi - lo))
-            c += term
-        np.copyto(c, -np.inf, where=self.consumed[:, lo:hi] != 0)
+        runs, n, cap = self.runs, self.run_size, self.scores.shape[1]
+        w = hi - lo
+
+        def cell(a):
+            return a.reshape(runs, n, cap)[:, :, lo:hi]
+
+        self._score(cell, lambda a: a.reshape(runs, n, 1),
+                    lambda a: a.reshape(-1, 1, cap)[:, :, lo:hi], out=cell(self.scores),
+                    term=self._scratch[:runs * n * w].reshape(runs, n, w))
         self._scored = hi
 
     def commit_round(self, agents: np.ndarray, items: np.ndarray,
@@ -340,9 +333,9 @@ class MarketBatch:
         ``MarketState.apply_consumption``, in any order. The whole batch is
         validated before anything is written.
 
-        When every live column is scored, the cells whose neighbour counts
-        rose are re-scored and the consumed pairs set to -inf; otherwise
-        the score watermark drops to 0 (see the class docstring).
+        The live columns not yet scored are scored first; then the cells
+        whose neighbour counts rose are re-scored and the consumed pairs
+        set to -inf, so the score cache is left whole.
         """
         _check_round(round_no)
         agents = np.asarray(agents, dtype=np.int64)
@@ -361,6 +354,7 @@ class MarketBatch:
             k = int(np.argmax(seen))
             raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
 
+        self._score_columns()
         self.consumed[agents, items] = round_no
         cap = self.consumed.shape[1]
         # counts flattened: run r's item a is r * cap + a (on a MarketState
@@ -373,9 +367,6 @@ class MarketBatch:
         # nbr_counts and scores are allocated C-contiguous (by __init__ and
         # _grow), so the reshapes are views and the flat writes land in them.
         np.add.at(self.nbr_counts.reshape(-1), flat, 1)
-        if self._scored != self.m:
-            self._scored = 0
-            return
         self._rescore(rows, cols, flat)
         self.scores.reshape(-1).put(agents * cap + items, -np.inf)
 
@@ -392,26 +383,35 @@ class MarketBatch:
 
     def _rescore(self, rows: np.ndarray, cols: np.ndarray, flat: np.ndarray) -> None:
         """Re-score the cells (rows, cols), flat index flat, repeats
-        allowed: the operations of _score_columns, gathered per cell and
-        done in place."""
+        allowed, from gathers (take reads its array flattened)."""
         cap = self.scores.shape[1]
+        c = self._score(lambda a: a.take(flat), lambda a: a.take(rows),
+                        lambda a: a.take(rows // self.run_size * cap + cols))
+        self.scores.reshape(-1).put(flat, c)
+
+    def _score(self, cell, row, ads, out=None, term=None) -> np.ndarray:
+        """The cached score (see the class docstring) of the cells that
+        cell selects from a per-cell array, row from a per-row array and
+        ads from advertisement, written into out (allocated when None).
+
+        term, a buffer of the cells' shape, holds each added term and then
+        the consumed flags. Without it each term overwrites its own first
+        selection, so the selections must then be fresh gathers, never
+        views of the market.
+        """
         g = self._gamma
         if np.ndim(g):
-            g = g.take(rows)
-        c = self.nbr_counts.reshape(-1).take(flat) / self._denom.take(rows)
+            g = row(g)
+        c = np.divide(cell(self.nbr_counts), row(self._denom), out=out)
         c *= g
         if self.mode != "fashion" or self.params.utility_social_blend == "liking":
-            liked = self.liking.reshape(-1).take(flat)
-            liked *= 1.0 - g
-            c += liked
+            c += _product(cell(self.liking), 1.0 - g, term)
         if self.mode == "fashion":
-            pull = self.tolerance.take(rows)
-            # Each row's run picks its row of the (runs, cap) advertisement.
-            ad_at = cols if self.runs == 1 else rows // self.run_size * cap + cols
-            pull *= self.advertisement.reshape(-1).take(ad_at)
-            c += pull
-        np.copyto(c, -np.inf, where=self.consumed.reshape(-1).take(flat) != 0)
-        self.scores.reshape(-1).put(flat, c)
+            c += _product(row(self.tolerance), ads(self.advertisement), term)
+        flags = None if term is None else (
+            term.reshape(-1).view(np.bool_)[:term.size].reshape(term.shape))
+        np.copyto(c, -np.inf, where=np.not_equal(cell(self.consumed), 0, out=flags))
+        return c
 
     def penalties(self) -> np.ndarray:
         """Every live item's saturation penalty for the coming round, one
@@ -558,6 +558,11 @@ class MarketState(MarketBatch):
         self._scored = 0
 
 
+def _product(x: np.ndarray, y, out: Optional[np.ndarray]) -> np.ndarray:
+    """x * y into out, or into x itself (a fresh gather) when out is None."""
+    return np.multiply(x, y, out=x if out is None else out)
+
+
 def _check_advertisement(a: float, name: str = "advertisement") -> None:
     if not 0.0 <= a <= 1.0:
         raise ValueError("%s: must be in [0, 1] (got %r)" % (name, a))
@@ -575,12 +580,12 @@ def _check_round(round_no: int) -> None:
 
 
 def _check_agent(state: MarketState, agent_id: int) -> None:
-    if not 0 <= int(agent_id) < state.n_agents:
+    if not isinstance(agent_id, (int, np.integer)) or not 0 <= agent_id < state.n_agents:
         raise ValueError("agent id %r out of range [0, %d)" % (agent_id, state.n_agents))
 
 
 def _check_item(state: MarketState, item_id: int) -> None:
-    if not 0 <= int(item_id) < state.m:
+    if not isinstance(item_id, (int, np.integer)) or not 0 <= item_id < state.m:
         raise ValueError("item id %r out of range [0, %d)" % (item_id, state.m))
 
 

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-import numpy as np
-
 from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
 
 __all__ = [
@@ -71,16 +69,10 @@ class SweepSpec:
 
 def _apply(base: SimulationConfig, parameter: str, value: float,
            seed: int) -> SimulationConfig:
-    if parameter == "advertisement":
-        params = replace(base.params, tracked_intro_ad=float(value))
-        return replace(base, params=params, seed=seed)
-    if parameter == "beta":
-        params = replace(base.params, beta=float(value))
-        return replace(base, params=params, seed=seed)
-    if parameter == "gamma":
-        params = replace(base.params, gamma=float(value))
-        return replace(base, params=params, seed=seed)
-    return replace(base, n_agents=int(value), seed=seed)
+    if parameter == "n_agents":
+        return replace(base, n_agents=int(value), seed=seed)
+    field = "tracked_intro_ad" if parameter == "advertisement" else parameter
+    return replace(base, params=replace(base.params, **{field: float(value)}), seed=seed)
 
 
 @dataclass(frozen=True)

@@ -465,25 +465,29 @@ class TestScoreTable:
             state.round = label
 
     def test_direct_commit_then_step_follows_the_state(self):
-        """A direct commit_round on a whole cache re-scores the cells it
-        raised; one made after an introduction, before any step, leaves
-        the cache to start over."""
+        """A direct commit_round leaves the cache whole: it re-scores the
+        cells it raised, and one made after an introduction, before any
+        step, first scores the new columns."""
         rng = rng_from(6)
         state = init_market(cache_config(6), rng)
         for _ in range(8):
             step_against_the_reference(state)
             if state.round % 3 == 0:
                 introduce_items(state, rng)
-                assert state._scored < state.m
-                # Items the cache had scored, so the raised cells lie in
-                # columns it would otherwise keep.
-                agents, items = open_pairs(state, 4, state._scored)
-                assert len(agents) > 0
-                state.commit_round(agents, items, state.round + 1)
-                assert state._scored == 0
+                scored = state._scored
+                assert scored < state.m
+                # Pairs in columns the cache had scored, so the raised cells
+                # lie in columns it keeps, and pairs in the unscored new one.
+                old_agents, old_items = open_pairs(state, 4, scored)
+                new_agents = np.setdiff1d(np.arange(state.n_agents), old_agents)[:4]
+                assert len(old_agents) > 0 and len(new_agents) > 0
+                agents = np.concatenate((old_agents, new_agents))
+                items = np.concatenate((old_items, np.full(len(new_agents), state.m - 1)))
+                order = np.argsort(agents)
+                state.commit_round(agents[order], items[order], state.round + 1)
             else:
                 state.commit_round(*open_pairs(state, 4), state.round + 1)
-                assert_cache_is_whole(state)
+            assert_cache_is_whole(state)
             state.round += 1
 
 

@@ -435,6 +435,25 @@ class TestStateContainers:
         with pytest.raises(ValueError):
             state.item(1)
 
+    @pytest.mark.parametrize("fn, args", [
+        (social_pressure, (1.5, 0)),
+        (opinion, (0, 0.5)),
+        (utility, (1.9, 0)),
+        (quality, (0.7,)),
+        (market_share, (0.0,)),
+        (MarketState.agent, (2.5,)),
+        (MarketState.item, ("0",)),
+        (MarketState.has_consumed, (1.5, 0)),
+        (MarketState.apply_consumption, (np.float64(2.0), 0, 1)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_ids_must_be_integers(self, fn, args):
+        """An id that is not an int or a NumPy integer is rejected, not
+        truncated to a neighbouring agent or item."""
+        state = star_state(mode="fashion")
+        with pytest.raises(ValueError, match="id"):
+            fn(state, *args)
+        fn(state, *(np.int64(int(x)) for x in args))
+
     def test_append_items_extends_the_market(self):
         state = star_state(mode="fashion")
         state.round = 6
