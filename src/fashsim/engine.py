@@ -49,15 +49,18 @@ __all__ = [
 DEFAULT_SEED = 42
 
 # Cell budget of one batch: runs stepped together hold at most this many
-# (agent, item-capacity) cells, about 9.4 MB at 36 bytes per cell (liking
-# f8, consumed i4, nbr_counts i8, the score cache f8 and its scratch buffer
-# f8). A run larger than the budget is a batch of one. The paper's
-# experiment (ring, 100 runs x 11 advertisement levels, min of 2 calls,
-# 2 vCPUs) at 2^15 / 2^16 / 2^17 / 2^18 cells took, at n = 100 (5,400
-# cells a run), 2.88-3.31 / 2.45-2.63 / 2.32-2.41 / 2.09-2.31 s with peak
-# RSS 43 / 44 / 47 / 53 MiB, and at n = 500, 14.0-14.9 / 11.2-12.2 /
-# 11.2-11.4 / 10.7-10.8 s with 41 / 42 / 44 / 50 MiB. It stays below two
-# 5,000-agent, 50-item runs (500,000 cells), so those never share a batch.
+# (agent, item-capacity) cells, about 6.3 MB at 24 bytes per cell (liking
+# f8, consumed i4, nbr_counts i4 and the score cache f8, plus one block
+# buffer of model.BLOCK_CELLS per market); stepping a full batch of the
+# paper's runs peaks at about 34 bytes per cell with the temporaries and
+# the per-round counts (tracemalloc). A run larger than the budget is a
+# batch of one. The paper's experiment (ring, 100 runs x 11 advertisement
+# levels, min of 2 calls, 2 vCPUs) at 2^15 / 2^16 / 2^17 / 2^18 cells
+# took, at n = 100 (5,400 cells a run), 2.88-3.31 / 2.45-2.63 /
+# 2.32-2.41 / 2.09-2.31 s with peak RSS 43 / 44 / 47 / 53 MiB, and at
+# n = 500, 14.0-14.9 / 11.2-12.2 / 11.2-11.4 / 10.7-10.8 s with 41 / 42 /
+# 44 / 50 MiB (36 bytes per cell then). It stays below two 5,000-agent,
+# 50-item runs (500,000 cells), so those never share a batch.
 BATCH_CELLS = 1 << 18
 
 _MASK64 = (1 << 64) - 1

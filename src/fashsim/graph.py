@@ -133,12 +133,15 @@ def neighbors(graph: SocialGraph, i: int) -> Set[int]:
 
 def _from_edges(n: int, src: np.ndarray, dst: np.ndarray) -> SocialGraph:
     """The graph of undirected edges {src[e], dst[e]}, each listed once: both
-    directions are counted into offsets and sorted by (row, target)."""
+    directions are counted into offsets and sorted by (row, target), as
+    the one key row * n + target."""
     rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return SocialGraph(n, offsets, cols[np.lexsort((cols, rows))])
+    keys = rows * n
+    keys += np.concatenate((dst, src))
+    keys.sort()
+    return SocialGraph(n, offsets, keys % n)
 
 
 def _validate_ring_args(n: int, k: int) -> None:
@@ -167,8 +170,8 @@ def build_ring(n: int, k: int) -> SocialGraph:
     return _from_edges(n, *_ring_edges(n, k))
 
 
-# Doubles drawn per block in build_random (2 MiB): bounds its memory.
-_RANDOM_BLOCK = 1 << 18
+# Doubles drawn per block in build_random (512 KiB), into one buffer.
+_RANDOM_BLOCK = 1 << 16
 
 
 def build_random(n: int, p: float, rng: np.random.Generator) -> SocialGraph:
@@ -178,31 +181,27 @@ def build_random(n: int, p: float, rng: np.random.Generator) -> SocialGraph:
     Bernoulli draw per pair, so a given rng state always yields the same
     graph. Isolated vertices are legal.
 
-    Whole rows are drawn in blocks of about _RANDOM_BLOCK doubles. Each
-    double takes the same bit-generator output however the draws are
-    split, so this is the stream of one rng.random call per row.
+    The draws go through one buffer of _RANDOM_BLOCK doubles. Each double
+    takes the same bit-generator output however the draws are split, so
+    this is the stream of one rng.random call per row.
     """
     if n < 2:
         raise ValueError("n: random graph needs n >= 2 (got %d)" % n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p: edge probability must be in [0, 1] (got %r)" % p)
+    pairs = n * (n - 1) // 2
+    buf = np.empty(min(_RANDOM_BLOCK, pairs))
+    hits = []
+    for start in range(0, pairs, len(buf)):
+        draws = rng.random(out=buf[:min(len(buf), pairs - start)])
+        hits.append(np.flatnonzero(draws < p) + start)
+    hits = np.concatenate(hits)
     # Row i holds the pairs (i, i+1..n-1): positions ends[i]-lens[i] to
     # ends[i] of the row-major sequence of draws.
     lens = np.arange(n - 1, 0, -1, dtype=np.int64)
     ends = np.cumsum(lens)
-    lo, hi = [], []
-    first = 0
-    while first < n - 1:
-        start = ends[first] - lens[first]
-        last = max(int(np.searchsorted(ends, start + _RANDOM_BLOCK, side="right")), first + 1)
-        hits = np.flatnonzero(rng.random(int(ends[last - 1] - start)) < p) + start
-        rows = np.searchsorted(ends, hits, side="right")
-        lo.append(rows)
-        hi.append(hits - (ends[rows] - lens[rows]) + rows + 1)
-        first = last
-    # Rebinding frees the blocks, so only one copy of the edges is held.
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    return _from_edges(n, lo, hi)
+    rows = np.searchsorted(ends, hits, side="right")
+    return _from_edges(n, rows, hits - (ends[rows] - lens[rows]) + rows + 1)
 
 
 def build_small_world(n: int, k: int, p: float, rng: np.random.Generator) -> SocialGraph:

@@ -18,7 +18,7 @@ def decide_round(
     tolerance: np.ndarray,     # float64 (n,)
     advertisement: np.ndarray, # float64 (cap,)
     pen: np.ndarray,           # float64 (m,) per-item penalty this round
-    nbr_counts: np.ndarray,    # int64 (n, cap)
+    nbr_counts: np.ndarray,    # int32 (n, cap)
     degrees: np.ndarray,       # int64 (n,)
     consumed: np.ndarray,      # int32 (n, cap), 0 = not consumed
     gamma: float,

@@ -3,6 +3,7 @@ brute-force cross-check, introduction scheduling, and ensemble mechanics."""
 
 import copy
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fashsim import engine, kernel
+from fashsim import engine, kernel, model
 from fashsim.engine import (
     DEFAULT_SEED,
     SimulationConfig,
@@ -489,6 +490,154 @@ class TestScoreTable:
                 state.commit_round(*open_pairs(state, 4), state.round + 1)
             assert_cache_is_whole(state)
             state.round += 1
+
+
+def batch_reference_choices(batch):
+    """reference_choices of a batch: each run's rows held to
+    kernel.decide_round with that run's gamma, penalties and ads."""
+    n, pen = batch.run_size, batch.penalties().reshape(batch.runs, -1)
+    ads = batch.advertisement.reshape(batch.runs, -1)
+    fashion = batch.mode == "fashion"
+    floor = batch.params.min_utility
+    out = np.empty(batch.n_agents, dtype=np.int64)
+    for b, q in enumerate(batch.run_params):
+        rows = slice(b * n, (b + 1) * n)
+        kernel.decide_round(
+            batch.liking[rows], batch.tolerance[rows],
+            ads[b] if fashion else np.zeros_like(ads[b]), pen[b],
+            batch.nbr_counts[rows], batch.graph.degrees[rows], batch.consumed[rows],
+            q.gamma, not fashion or q.utility_social_blend == "liking", batch.m,
+            0.0 if floor is None else float(floor), floor is not None, out[rows],
+        )
+    return out
+
+
+class TestBlockedKernel:
+    """choose and _score_columns walk the agent rows in blocks of at most
+    model.BLOCK_CELLS cells through one buffer; any budget gives the full
+    recompute's choices and a whole cache."""
+
+    # 5 runs of 6 agents, 4 catalog items and 2 more every 2 rounds: at 60
+    # cells a block groups two runs and leaves one over, at 7 a 2-column
+    # block splits each run into 3 + 3 rows, and at 1 (or 7 with 8 or more
+    # columns) every row is wider than the budget.
+    def mixed_batch(self):
+        base = SimulationConfig(
+            n_agents=6, m_initial=4, rounds=9,
+            topology=TopologySpec(kind="small_world", k=2, p=0.3),
+            params=MarketParams(beta=6.0, intro_period=2, intro_batch=2,
+                                intro_ads=(0.9, 0.0, 0.4), catalog_ads=0.2,
+                                new_item_liking="uniform", min_utility=0.05),
+        )
+        configs = [
+            replace(base, seed=s, params=replace(base.params, gamma=g, beta=b,
+                                                 tracked_intro_ad=a))
+            for s, g, b, a in [(1, 0.95, 6.0, None), (2, 0.3, 0.5, 1.0),
+                               (3, 1.0, 40.0, 0.0), (4, 0.0, 6.0, 0.6),
+                               (5, 0.7, 2.0, None)]
+        ]
+        rngs = [rng_from(c.seed) for c in configs]
+        return base, engine._new_market(configs, rngs), rngs
+
+    @pytest.mark.parametrize("budget", [1, 7, 60])
+    def test_blocks_cover_the_rows_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(model, "BLOCK_CELLS", budget)
+        _, batch, _ = self.mixed_batch()
+        n, seen = batch.run_size, set()
+        for width in (1, 2, 4, 6, 10, 12, 70):
+            rows = 0
+            for runs, lo, hi in batch._blocks(width):
+                assert lo == rows < hi
+                assert runs.start * n <= lo and hi <= runs.stop * n
+                assert (hi - lo) * width <= budget or hi - lo == 1
+                if hi - lo == n * (runs.stop - runs.start):
+                    seen.add("runs" if runs.stop - runs.start > 1 else "run")
+                else:
+                    assert runs.stop - runs.start == 1
+                    seen.add("rows" if hi - lo > 1 else "row")
+                rows = hi
+            assert rows == batch.n_agents
+        want = {1: {"row"}, 7: {"run", "rows", "row"}, 60: {"runs", "run", "rows", "row"}}
+        assert seen == want[budget]
+
+    @pytest.mark.parametrize("budget", [1, 7, 60])
+    def test_a_mixed_batch_matches_decide_round_every_round(self, monkeypatch, budget):
+        monkeypatch.setattr(model, "BLOCK_CELLS", budget)
+        base, batch, rngs = self.mixed_batch()
+        for _ in range(base.rounds):
+            if batch.round > 0 and batch.round % 2 == 0:
+                introduce_items(batch, rngs)
+            want = batch_reference_choices(batch)
+            agents, items = batch.choose()
+            assert agents.tolist() == np.flatnonzero(want >= 0).tolist()
+            assert items.tolist() == want[agents].tolist()
+            batch.commit_round(agents, items, batch.round + 1)
+            batch.round += 1
+            assert_cache_is_whole(batch)
+        assert batch.counts.sum() > 0
+
+    @pytest.mark.parametrize("budget", [1, 7, 60])
+    def test_a_lone_state_matches_decide_round_every_round(self, monkeypatch, budget):
+        monkeypatch.setattr(model, "BLOCK_CELLS", budget)
+        rng = rng_from(8)
+        state = init_market(cache_config(8), rng)
+        for _ in range(10):
+            if state.round > 0 and state.round % 3 == 0:
+                introduce_items(state, rng)
+            step_against_the_reference(state)
+
+    def test_the_buffer_does_not_grow_with_the_rows(self, monkeypatch):
+        sizes = {init_market(small_config(n_agents=n))._scratch.size
+                 for n in (6, 600, 6000)}
+        assert sizes == {model.BLOCK_CELLS}
+        # A row wider than the budget still fits: the buffer follows the
+        # capacity past it.
+        monkeypatch.setattr(model, "BLOCK_CELLS", 3)
+        rng = rng_from(4)
+        state = MarketState(MarketParams(intro_batch=3), build_ring(6, 2), "fashion",
+                            liking=rng.random((6, 2)), tolerance=np.full(6, 0.5),
+                            advertisement=np.full(2, 0.3))
+        assert state._scratch.size == 3
+        for _ in range(3):
+            introduce_items(state, rng)
+            assert state._scratch.size == max(3, state.liking.shape[1])
+            step_against_the_reference(state)
+
+    def test_neighbour_counts_stay_int32(self):
+        rng = rng_from(41)
+        state = MarketState(MarketParams(intro_batch=2), build_ring(10, 4), "fashion",
+                            liking=rng.random((10, 1)), tolerance=np.full(10, 0.5),
+                            advertisement=np.full(1, 0.3))
+        caps = set()
+        for _ in range(6):
+            introduce_items(state, rng)
+            caps.add(state.liking.shape[1])
+            step_against_the_reference(state)
+            assert state.nbr_counts.dtype == np.int32
+        assert len(caps) >= 3 and state.nbr_counts.any()
+
+    def test_the_paper_batch_stays_under_36_bytes_per_cell(self):
+        """tracemalloc peak of stepping a full batch of the paper's runs,
+        market, temporaries and per-round counts together: 44.6 B per
+        cell with a scratch buffer as large as the cache and int64
+        neighbour counts, about 34 with one block buffer and int32. The
+        48 runs (100 agents, ring, 50 + 4 items, 30 rounds) fill one
+        BATCH_CELLS batch."""
+        base = SimulationConfig(
+            n_agents=100, m_initial=50, rounds=30,
+            params=MarketParams(gamma=0.95, beta=10.0, intro_period=6, intro_ads=(0.7,)))
+        configs = [replace(base, seed=derive_seed(11, i), params=replace(
+            base.params, tracked_intro_ad=(i % 11) / 10)) for i in range(48)]
+        cells = sum(c.n_agents * engine._final_item_count(c) for c in configs)
+        work = [(0, i, c) for i, c in enumerate(configs)]
+        assert [len(b) for b in engine._batches(work)] == [len(configs)]
+        tracemalloc.start()
+        try:
+            engine._simulate(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cells < 36
 
 
 def penalties_per_item(state):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from fashsim.graph import SocialGraph, build_random, build_ring
 from fashsim.model import (
+    MarketBatch,
     MarketParams,
     MarketState,
     market_share,
@@ -389,6 +390,23 @@ class TestStateContainers:
         with pytest.raises(ValueError):
             MarketState(MarketParams(), graph, "neither", **ok)
 
+    @pytest.mark.parametrize("field", ["liking", "tolerance", "advertisement"])
+    def test_nan_is_out_of_range(self, field):
+        """A NaN fails every comparison, so it must fail the range check
+        rather than slip past a test for values below or above it; in a
+        lone state and in a batch of two runs."""
+        graph = build_ring(4, 2)
+        ok = dict(liking=np.full((4, 2), 0.5), tolerance=np.full(4, 0.5),
+                  advertisement=np.zeros(2))
+        bad = ok[field].copy()
+        bad.flat[1] = np.nan
+        with pytest.raises(ValueError, match=field):
+            MarketState(MarketParams(), graph, "fashion", **dict(ok, **{field: bad}))
+        two = {k: np.concatenate([v, v]) if k != "advertisement" else v
+               for k, v in dict(ok, **{field: bad}).items()}
+        with pytest.raises(ValueError, match=field):
+            MarketBatch([MarketParams()] * 2, [graph, graph], "fashion", **two)
+
     def test_double_consumption_rejected(self):
         state = star_state()
         state.apply_consumption(0, 0, 1)
@@ -478,6 +496,14 @@ class TestStateContainers:
             state.append_items([0.5], np.full((5, 1), 2.0), intro_round=1)
         with pytest.raises(ValueError):
             state.append_items([0.5], np.zeros((4, 1)), intro_round=1)
+
+    def test_append_items_rejects_nan_likings(self):
+        state = star_state(mode="fashion")
+        likings = np.zeros((5, 1))
+        likings[2, 0] = np.nan
+        with pytest.raises(ValueError, match="likings"):
+            state.append_items([0.5], likings, intro_round=1)
+        assert state.m == 1
 
 
 BOUNDED_FUNCS = (social_pressure, opinion, quality, market_share)
