@@ -27,7 +27,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import TopologySpec
+from .graph import TopologySpec, check_int
 from .model import MODES, MarketBatch, MarketParams, MarketState, shared_params
 
 __all__ = [
@@ -95,6 +95,8 @@ class SimulationConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("n_agents", "m_initial", "rounds", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.n_agents < 2:
             raise ValueError("agents: need at least 2 (got %d)" % self.n_agents)
         if self.m_initial < 1:
@@ -137,6 +139,12 @@ class Trace:
     labeled 1..R); counts is the matching integer consumer tally. Items
     introduced mid-run have zero share before they enter. quality[a] is the
     item's mean liking in this run's population.
+
+    consumed is the run's one event log, the market's own record:
+    consumed[i, a] is the round in which agent i consumed item a, or 0 if
+    it never did (4 bytes per cell). event_agents, event_items and events
+    are derived from it on each access: round r's events in ascending
+    agent order, int64, as step returned them.
     """
 
     config: SimulationConfig
@@ -148,8 +156,7 @@ class Trace:
     quality: np.ndarray           # (M,) float64
     shares: np.ndarray            # (R, M) float64
     counts: np.ndarray            # (R, M) int64
-    event_agents: Tuple[np.ndarray, ...]  # per round, consuming agent ids
-    event_items: Tuple[np.ndarray, ...]   # per round, matching item ids
+    consumed: np.ndarray          # (n_agents, M) int32, round label or 0
 
     @property
     def n_items(self) -> int:
@@ -159,15 +166,35 @@ class Trace:
     def final_shares(self) -> np.ndarray:
         return self.shares[-1]
 
+    def _round_events(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Each round's consuming agents and their items, in one pass over
+        consumed. np.nonzero lists the cells agent by agent and an agent
+        consumes at most once a round, so a stable sort by round label
+        leaves every round in ascending agent order."""
+        agents, items = np.nonzero(self.consumed)
+        labels = self.consumed[agents, items]
+        order = np.argsort(labels, kind="stable")
+        cuts = np.searchsorted(labels[order], np.arange(2, len(self.rounds) + 1))
+        return np.split(agents[order], cuts), np.split(items[order], cuts)
+
+    @property
+    def event_agents(self) -> Tuple[np.ndarray, ...]:
+        """Per round, the consuming agent ids (ascending)."""
+        return tuple(self._round_events()[0])
+
+    @property
+    def event_items(self) -> Tuple[np.ndarray, ...]:
+        """Per round, the items matching event_agents."""
+        return tuple(self._round_events()[1])
+
     @property
     def events(self) -> Tuple[Tuple[ConsumptionEvent, ...], ...]:
         """Events materialized round by round (round labels are 1-based)."""
+        agents, items = self._round_events()
         return tuple(
-            tuple(
-                ConsumptionEvent(int(i), int(a), r + 1)
-                for i, a in zip(self.event_agents[r], self.event_items[r])
-            )
-            for r in range(len(self.rounds))
+            tuple(ConsumptionEvent(i, a, r + 1)
+                  for i, a in zip(agents[r].tolist(), items[r].tolist()))
+            for r in range(len(agents))
         )
 
 
@@ -205,8 +232,8 @@ def init_market(config: SimulationConfig,
     """Fresh round-0 state: graph, likings U[0,1], tolerances U(0,1].
 
     When rng is omitted a new PCG64 stream is seeded from config.seed.
-    Passing the stream in lets run() keep drawing from it for later item
-    introductions.
+    Pass the stream in to keep drawing from it for later item
+    introductions (introduce_items), in the order of a run.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -303,18 +330,17 @@ def step(state: MarketBatch) -> np.ndarray:
     return np.column_stack((agents, items))
 
 
-def _simulate(configs: Sequence[SimulationConfig],
-              keep_events: bool = False) -> Tuple[MarketBatch, np.ndarray, list]:
+def _simulate(configs: Sequence[SimulationConfig]) -> Tuple[MarketBatch, np.ndarray]:
     """Step runs of one shape (equal _batch_key) together as one market.
 
-    Returns the market, each run's consumer counts after every round as a
-    (runs, R, M) int64 array, and (with keep_events) each round's events
-    as step returns them. Each run draws its graph, likings, tolerances
-    and introduced-item likings from its own stream, in the order of a
-    lone run (see _new_market). In fashion mode a batch of items is
-    introduced at the top of every round r with r > 0 and
-    r % intro_period == 0 (so the first batch enters after intro_period
-    completed rounds), before that round's decisions.
+    Returns the market, whose consumed array records every run's events,
+    and each run's consumer counts after every round as a (runs, R, M)
+    int64 array. Each run draws its graph, likings, tolerances and
+    introduced-item likings from its own stream, in the order of a lone
+    run (see _new_market). In fashion mode a batch of items is introduced
+    at the top of every round r with r > 0 and r % intro_period == 0 (so
+    the first batch enters after intro_period completed rounds), before
+    that round's decisions.
     """
     first = configs[0]
     rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in configs]
@@ -324,17 +350,14 @@ def _simulate(configs: Sequence[SimulationConfig],
     m_final = _final_item_count(first)
     run_counts = market.counts.reshape(market.runs, -1)
     counts = np.zeros((market.runs, R, m_final), dtype=np.int64)
-    events = []
     for t in range(R):
         if first.mode == "fashion" and market.round > 0 and market.round % period == 0:
             introduce_items(market, rngs)
-        round_events = step(market)
+        step(market)
         counts[:, t, :market.m] = run_counts[:, :market.m]
-        if keep_events:
-            events.append(round_events)
     if market.m != m_final:
         raise AssertionError("introduction schedule drifted from plan")
-    return market, counts, events
+    return market, counts
 
 
 def _run_quality(market: MarketBatch, b: int, m: int) -> np.ndarray:
@@ -345,7 +368,7 @@ def _run_quality(market: MarketBatch, b: int, m: int) -> np.ndarray:
 
 def run(config: SimulationConfig) -> Trace:
     """Execute one full simulation and return its trace (a batch of one)."""
-    market, counts, events = _simulate([config], keep_events=True)
+    market, counts = _simulate([config])
     R = config.rounds
     m_final = counts.shape[2]
     return Trace(
@@ -358,8 +381,7 @@ def run(config: SimulationConfig) -> Trace:
         quality=_run_quality(market, 0, m_final),
         shares=counts[0] / config.n_agents,
         counts=counts[0],
-        event_agents=tuple(ev[:, 0] for ev in events),
-        event_items=tuple(ev[:, 1] for ev in events),
+        consumed=market.consumed[:, :m_final],
     )
 
 
@@ -391,7 +413,7 @@ def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
 def _run_batch(batch: Sequence[tuple]) -> Tuple[np.ndarray, ...]:
     """Each run's shares (runs, R, M), quality (runs, M) and
     advertisements (runs, M), and the batch's intro rounds (M,)."""
-    market, counts, _ = _simulate([config for _, _, config in batch])
+    market, counts = _simulate([config for _, _, config in batch])
     m = counts.shape[2]
     runs = market.runs
     ads = market.advertisement.reshape(runs, -1)[:, :m]
@@ -429,6 +451,7 @@ def run_ensembles(configs: Sequence[SimulationConfig], runs: int,
     the worker count changes the output, and memory stays at the batches
     in flight plus at most two configs' (runs, R, M) share arrays.
     """
+    runs, jobs = check_int("runs", runs), check_int("jobs", jobs)
     if runs < 1:
         raise ValueError("runs: need at least 1 (got %d)" % runs)
     if jobs < 1:

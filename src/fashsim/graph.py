@@ -24,6 +24,15 @@ __all__ = [
 ]
 
 
+def check_int(name: str, value) -> int:
+    """An integer field's value as a Python int. A bool or a non-integer
+    is a ValueError naming the field; NumPy integers pass. Shared by every
+    config class, so it lives in the module the others import."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s: must be an integer (got %r)" % (name, value))
+    return int(value)
+
+
 class SocialGraph:
     """Immutable undirected graph in CSR form.
 
@@ -265,6 +274,7 @@ class TopologySpec:
                 "topology: unknown kind %r (expected one of %s)"
                 % (self.kind, ", ".join(_TOPOLOGY_KINDS))
             )
+        object.__setattr__(self, "k", check_int("k", self.k))
         if self.kind != "random":
             if self.k % 2 != 0 or self.k <= 0:
                 raise ValueError("k: must be a positive even integer (got %r)" % (self.k,))

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import SocialGraph
+from .graph import SocialGraph, check_int
 
 __all__ = [
     "MarketParams",
@@ -92,6 +92,8 @@ class MarketParams:
             raise ValueError(
                 "sigmoid_center: must be in [0, 1] (got %r)" % (self.sigmoid_center,)
             )
+        for name in ("intro_period", "intro_batch"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.intro_period < 1:
             raise ValueError(
                 "intro_period: must be >= 1 (got %r)" % (self.intro_period,)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
+from .graph import check_int
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -53,6 +54,7 @@ class SweepSpec:
             )
         if len(self.grid) == 0:
             raise ValueError("grid: need at least one value")
+        object.__setattr__(self, "runs", check_int("runs", self.runs))
         if self.runs < 1:
             raise ValueError("runs: need at least 1 (got %d)" % self.runs)
         for v in self.grid:

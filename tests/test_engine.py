@@ -105,6 +105,42 @@ class TestConfigValidation:
             SimulationConfig(n_agents=4, topology=TopologySpec(kind="ring", k=4))
 
 
+    @pytest.mark.parametrize("value", [True, 4.0, 4.5])
+    @pytest.mark.parametrize("field, make", [
+        ("n_agents", lambda v: SimulationConfig(n_agents=v)),
+        ("m_initial", lambda v: SimulationConfig(m_initial=v)),
+        ("rounds", lambda v: SimulationConfig(rounds=v)),
+        ("seed", lambda v: SimulationConfig(seed=v)),
+        ("intro_period", lambda v: MarketParams(intro_period=v)),
+        ("intro_batch", lambda v: MarketParams(intro_batch=v)),
+        ("k", lambda v: TopologySpec(k=v)),
+        ("runs", lambda v: run_ensemble(small_config(), runs=v)),
+        ("jobs", lambda v: run_ensemble(small_config(), runs=2, jobs=v)),
+        ("runs", lambda v: SweepSpec(small_config(), "gamma", (0.5,), runs=v)),
+        ("jobs", lambda v: sweep(SweepSpec(small_config(), "gamma", (0.5,), runs=2),
+                                 jobs=v)),
+    ])
+    def test_integer_fields_reject_bools_and_floats(self, field, make, value):
+        """Caught where the value enters, naming the field: a float used
+        to fail deep inside run() and a bool to pass as 0 or 1."""
+        with pytest.raises(ValueError, match="^%s: must be an integer" % field):
+            make(value)
+
+    def test_integer_fields_take_numpy_integers_as_ints(self):
+        cfg = SimulationConfig(n_agents=np.int64(8), m_initial=np.int32(3),
+                               rounds=np.int64(4), seed=np.uint64(2**64 - 1),
+                               topology=TopologySpec(k=np.int64(2)),
+                               params=MarketParams(intro_period=np.int16(2),
+                                                   intro_batch=np.int64(2)))
+        ints = (cfg.n_agents, cfg.m_initial, cfg.rounds, cfg.seed, cfg.topology.k,
+                cfg.params.intro_period, cfg.params.intro_batch)
+        assert all(type(v) is int for v in ints)
+        ens = run_ensemble(cfg, runs=np.int64(2), jobs=np.int8(1))
+        assert type(ens.runs) is int and ens.n_items == 3 + 2
+        spec = SweepSpec(cfg, "gamma", (0.5,), runs=np.int32(2))
+        assert type(spec.runs) is int and sweep(spec, jobs=np.int64(2)).points
+
+
 class TestInitMarket:
     def test_draw_order_is_graph_likings_tolerances(self):
         cfg = small_config()
@@ -852,6 +888,65 @@ class TestRunDeterminism:
             assert trace.counts[r].sum() == cfg.n_agents * (r + 1)
 
 
+class TestTraceEvents:
+    """run() keeps one record of its consumptions, the market's consumed
+    array, and derives its per-round events from it."""
+
+    @pytest.mark.parametrize("liking", ["zero", "uniform"])
+    @pytest.mark.parametrize("floor", [None, 0.55])
+    @pytest.mark.parametrize("mode", ["fashion", "cultural"])
+    def test_events_equal_a_step_replay(self, mode, floor, liking):
+        """Array for array (values, order, dtype) what step() returns on a
+        market replayed by hand; cultural runs exhaust the catalog, so
+        their last rounds are empty."""
+        cfg = SimulationConfig(
+            n_agents=30, m_initial=5, rounds=12,
+            topology=TopologySpec(kind="random", p=0.2),
+            params=MarketParams(intro_period=2, intro_ads=(0.9, 0.2), catalog_ads=0.4,
+                                min_utility=floor, new_item_liking=liking),
+            mode=mode, seed=31)
+        trace = run(cfg)
+        rng = rng_from(cfg.seed)
+        state = init_market(cfg, rng)
+        want = []
+        for _ in range(cfg.rounds):
+            if mode == "fashion" and state.round > 0 and state.round % 2 == 0:
+                introduce_items(state, rng)
+            want.append(step(state))
+        agents, items = trace.event_agents, trace.event_items
+        assert len(agents) == len(items) == cfg.rounds
+        for r, events in enumerate(want):
+            assert bits(agents[r]) == bits(events[:, 0])
+            assert bits(items[r]) == bits(events[:, 1])
+            assert agents[r].dtype == items[r].dtype == np.int64
+        assert trace.events == tuple(
+            tuple(engine.ConsumptionEvent(i, a, r + 1) for i, a in events.tolist())
+            for r, events in enumerate(want))
+        assert bits(trace.consumed) == bits(state.consumed)
+        sizes = [len(events) for events in want]
+        if floor is not None or mode == "cultural":
+            assert min(sizes) < cfg.n_agents  # some agents abstain
+        if mode == "cultural":
+            assert sizes[-1] == 0
+
+    def test_the_trace_keeps_four_bytes_per_cell(self):
+        """tracemalloc on a 2 * 10^4-agent ring (50 + 4 items, 30 rounds):
+        the run peaks under 35 bytes per cell and the finished Trace holds
+        under 5, its consumed array and the small per-round tables. With
+        every round's events kept as arrays it was 38.5 and 8.9."""
+        cfg = SimulationConfig(n_agents=20_000, m_initial=50, rounds=30)
+        cells = cfg.n_agents * engine._final_item_count(cfg)
+        tracemalloc.start()
+        try:
+            trace = run(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.consumed.shape == (cfg.n_agents, 54)
+        assert peak / cells < 35
+        assert held / cells < 5
+
+
 class TestEnsembles:
     def test_matches_manually_derived_runs(self):
         cfg = small_config(seed=5)
@@ -1035,11 +1130,11 @@ class TestBatches:
             for s, g, b, a in [(1, 0.8, 6.0, None), (2, 0.0, 0.5, 1.0),
                                (3, 1.0, 40.0, 0.0), (4, 0.35, 6.0, 0.7)]
         ]
-        batch, counts, _ = engine._simulate(configs)
+        batch, counts = engine._simulate(configs)
         assert isinstance(batch, MarketBatch) and batch.runs == 4
         n = base.n_agents
         for b, cfg in enumerate(configs):
-            lone, lone_counts, _ = engine._simulate([cfg])
+            lone, lone_counts = engine._simulate([cfg])
             assert isinstance(lone, MarketState)
             assert bits(counts[b]) == bits(lone_counts[0])
             rows = slice(b * n, (b + 1) * n)
