@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,62 +288,119 @@ def _settings_as_dict(settings: RunSettings, grid: Optional[Tuple[float, ...]]) 
     return doc
 
 
-def _fmt(x: float) -> str:
-    """CSV float format: 17 significant digits round-trips float64 exactly."""
-    return format(float(x), ".17g")
+# Lines of trace.csv built at a time: a grid point's lines go out in
+# chunks of at most this many, so the writer holds one chunk's cells and
+# text (about 1.4 MB at catalog-wide's widths), never a point's or the
+# file's. Picked by timing the writer, sizes interleaved, on catalog-wide's
+# three 60,675-line points at seed 11 (2 vCPUs, median of 21): 2^12 /
+# 2^13 / 2^14 / 2^15 / 2^16 lines took 67 / 64 / 61 / 73 / 78 ms, and a
+# fresh process running the whole sweep-beta peaked at 49.9 MiB RSS at
+# 2^14 against 58.2 MiB at 2^16, where writing one point's text set the
+# peak.
+_CHUNK_ROWS = 1 << 14
 
 
-def _float_cells(col):
-    """One trace.csv float column as '%' arguments, and its row field.
+def _trace_text(points) -> Iterator[str]:
+    """trace.csv's data lines as text chunks of at most _CHUNK_ROWS lines.
 
-    A column with at most half its cells distinct (by float64 bit pattern,
-    so -0.0 and each NaN keep their spelling) formats each distinct value
-    once and passes the texts to '%s'; otherwise the floats go straight to
-    '%.17g', which for a Python float gives the same text as _fmt.
+    points yields one (grid_value, rounds, item_ids, ads, intros, mean,
+    std) per grid point; grid_value None means no grid_value column.
+    Lines are round-major, and an item introduced at round r first trades
+    in round r + 1, so it has no line before that. consumption_rate_mean
+    is the round-on-round difference of mean, the first round's from 0.
+    Each cell carries its own ',' or newline, so a chunk is one join.
     """
-    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-    if 2 * len(bits) > len(col):
-        return col.tolist(), "%.17g"
-    texts = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
-    return np.array(texts[:-1], dtype=object)[inverse].tolist(), "%s"
+    texts = _FloatTexts()
+    for grid_value, rounds, item_ids, ads, intros, mean, std in points:
+        rounds, intros = np.asarray(rounds), np.asarray(intros)
+        ri, ci = np.nonzero(intros[None, :] < rounds[:, None])
+        lead = "" if grid_value is None else "%.17g," % grid_value
+        round_cells = np.array([lead + "%d," % r for r in rounds.tolist()], dtype=object)
+        ad_at = texts.find(np.asarray(ads, dtype=np.float64))  # before reading
+        ad_cells = texts.comma[ad_at].tolist()  # comma: find replaces the arrays
+        item_cells = np.array(
+            ["%d,%s%d," % cells for cells in
+             zip(np.asarray(item_ids).tolist(), ad_cells, intros.tolist())],
+            dtype=object)
+        mean = np.asarray(mean, dtype=np.float64)
+        columns = [np.ascontiguousarray(table, dtype=np.float64).ravel() for table in
+                   (mean, std, np.diff(mean, axis=0, prepend=0.0))]
+        for lo in range(0, len(ri), _CHUNK_ROWS):
+            r, c = ri[lo:lo + _CHUNK_ROWS], ci[lo:lo + _CHUNK_ROWS]
+            at = r * len(intros) + c
+            yield _chunk_text(texts, round_cells[r], item_cells[c],
+                              np.concatenate([col.take(at) for col in columns]))
 
 
-def _trace_rows(rounds, item_ids, ads, intros, mean, std,
-                grid_value: Optional[float] = None) -> str:
-    """trace.csv data lines, round-major, as one text block ('' if none).
+class _FloatTexts:
+    """'%.17g' spellings of float64 values for one file, each formatted once.
 
-    An item introduced at round r first trades in round r + 1, so it has no
-    line before that. The per-round and per-item cells are formatted once
-    each; the block is one '%' over the live cells, five per line, laid out
-    by slice assignment. grid_value, if given, becomes a leading grid_value
-    cell.
+    Values are told apart by bit pattern, so -0.0 keeps its sign (every
+    NaN spells nan). bits is sorted, and comma[i] and newline[i] are the
+    spelling of bits[i] followed by ',' and by a newline. The table is
+    emptied before it would pass one chunk's worth of float cells
+    (3 * _CHUNK_ROWS), so a file of distinct values does not grow it past
+    that.
     """
-    rounds = np.asarray(rounds)
-    intros = np.asarray(intros)
-    ri, ci = np.nonzero(intros[None, :] < rounds[:, None])
-    lead = "" if grid_value is None else _fmt(grid_value) + ","
-    round_cells = np.array([lead + str(r) for r in rounds.tolist()], dtype=object)
-    item_cells = np.array(
-        ["%d,%s,%d" % (a, _fmt(ad), i) for a, ad, i in
-         zip(np.asarray(item_ids).tolist(), np.asarray(ads).tolist(), intros.tolist())],
-        dtype=object)
-    mean = np.asarray(mean, dtype=np.float64)
-    rates = np.diff(mean, axis=0, prepend=0.0)
-    cells = [None] * (5 * len(ri))
-    cells[0::5] = round_cells[ri].tolist()
-    cells[1::5] = item_cells[ci].tolist()
-    fields = ["%s", "%s"]
-    for k, table in enumerate((mean, np.asarray(std, dtype=np.float64), rates), 2):
-        cells[k::5], field = _float_cells(table[ri, ci])
-        fields.append(field)
-    return (",".join(fields) + "\n") * len(ri) % tuple(cells)
+
+    def __init__(self):
+        self.bits = np.empty(0, dtype=np.uint64)
+        self.comma = np.empty(0, dtype=object)
+        self.newline = np.empty(0, dtype=object)
+
+    def find(self, floats) -> np.ndarray:
+        """Each value's index in the table, adding the values it lacks."""
+        # The distinct values, by a stable sort: trace columns are long runs
+        # of a few values, which a stable (run-merging) sort orders fastest.
+        bits = floats.view(np.uint64)
+        order = bits.argsort(kind="stable")
+        ordered = bits[order]
+        first = np.empty(len(bits), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = np.empty(len(bits), dtype=np.int32)  # a chunk has under 2^31 cells
+        distinct[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = ordered[first]
+        pos = self.bits.searchsorted(keys)
+        new = pos == len(self.bits)
+        new[~new] = self.bits[pos[~new]] != keys[~new]
+        if not new.any():
+            return pos[distinct]
+        if len(self.bits) + np.count_nonzero(new) > 3 * _CHUNK_ROWS:
+            self.bits, self.comma, self.newline = self.bits[:0], self.comma[:0], self.newline[:0]
+            pos[:], new[:] = 0, True
+        values = keys[new]
+        # One '%' spells every new value; a spelling has no line break.
+        text = "%.17g\n" * len(values) % tuple(values.view(np.float64).tolist())
+        commas = text.replace("\n", ",\n").split("\n")[:-1]
+        self.bits = np.insert(self.bits, pos[new], values)
+        self.comma = np.insert(self.comma, pos[new], np.array(commas, dtype=object))
+        self.newline = np.insert(self.newline, pos[new],
+                                 np.array(text.splitlines(True), dtype=object))
+        return self.bits.searchsorted(keys)[distinct]
 
 
-def _write_csv(path: str, header: Sequence[str], blocks: Sequence[str]) -> None:
+def _chunk_text(texts: _FloatTexts, round_cells, item_cells, floats) -> str:
+    """One chunk's lines from its round and item cells and its float cells
+    (the mean, std and rate columns one after another). A function of its
+    own, so that the cell list is freed before the chunk is written."""
+    rows = len(round_cells)
+    at = texts.find(floats)
+    cells = [None] * (5 * rows)
+    cells[0::5] = round_cells.tolist()
+    cells[1::5] = item_cells.tolist()
+    cells[2::5] = texts.comma[at[:rows]].tolist()
+    cells[3::5] = texts.comma[at[rows:2 * rows]].tolist()
+    cells[4::5] = texts.newline[at[2 * rows:]].tolist()
+    return "".join(cells)
+
+
+def _write_csv(path: str, header: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write header and text chunks; writelines lets go of each chunk
+    before it asks for the next."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            fh.write(block)
+        fh.writelines(chunks)
 
 
 def _json_text(obj, indent: str) -> str:
@@ -487,10 +544,12 @@ def _ensemble_summary(ens: EnsembleResult) -> Dict:
     }
 
 
-def _write_outputs(out_dir: str, trace_header, trace_blocks, summary: Dict,
+def _write_outputs(out_dir: str, trace_header, trace_points, summary: Dict,
                    manifest: Dict) -> None:
+    """Write the three output files; trace_points are _trace_text's points."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "trace.csv"), trace_header, trace_blocks)
+    _write_csv(os.path.join(out_dir, "trace.csv"), trace_header,
+               _trace_text(trace_points))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
@@ -515,34 +574,31 @@ def _manifest(command: str, settings: RunSettings,
 
 def cmd_run(settings: RunSettings) -> None:
     trace = run(settings.config)
-    block = _trace_rows(trace.rounds, trace.item_ids, trace.advertisements,
-                        trace.intro_rounds, trace.shares,
-                        np.zeros_like(trace.shares))
+    point = (None, trace.rounds, trace.item_ids, trace.advertisements,
+             trace.intro_rounds, trace.shares, np.zeros_like(trace.shares))
     summary = {"command": "run", **_trace_summary(trace)}
-    _write_outputs(settings.out, TRACE_HEADER, [block], summary,
+    _write_outputs(settings.out, TRACE_HEADER, [point], summary,
                    _manifest("run", settings, None))
 
 
 def cmd_ensemble(settings: RunSettings) -> None:
     ens = run_ensemble(settings.config, settings.runs, jobs=settings.jobs)
-    block = _trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                        ens.intro_rounds, ens.mean_share, ens.std_share)
     summary = {"command": "ensemble", **_ensemble_summary(ens)}
-    _write_outputs(settings.out, TRACE_HEADER, [block], summary,
+    _write_outputs(settings.out, TRACE_HEADER, [_ensemble_point(ens)], summary,
                    _manifest("ensemble", settings, None))
 
 
-def _grid_outputs(points) -> Tuple[List[str], List[Dict]]:
-    """trace.csv blocks and summary points of a sweep, grid point by point."""
-    blocks: List[str] = []
-    summaries = []
-    for pt in points:
-        ens = pt.ensemble
-        blocks.append(_trace_rows(ens.rounds, ens.item_ids, ens.advertisements,
-                                  ens.intro_rounds, ens.mean_share, ens.std_share,
-                                  grid_value=pt.value))
-        summaries.append({"value": pt.value, "seed": pt.seed, **_ensemble_summary(ens)})
-    return blocks, summaries
+def _ensemble_point(ens: EnsembleResult, grid_value: Optional[float] = None) -> tuple:
+    """An ensemble's trace.csv lines as one of _trace_text's points."""
+    return (grid_value, ens.rounds, ens.item_ids, ens.advertisements,
+            ens.intro_rounds, ens.mean_share, ens.std_share)
+
+
+def _grid_outputs(points) -> Tuple[List[tuple], List[Dict]]:
+    """_trace_text's points and the summary points of a sweep."""
+    return ([_ensemble_point(pt.ensemble, pt.value) for pt in points],
+            [{"value": pt.value, "seed": pt.seed, **_ensemble_summary(pt.ensemble)}
+             for pt in points])
 
 
 def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
@@ -550,10 +606,10 @@ def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
     spec = SweepSpec(base=settings.config, parameter=parameter, grid=grid,
                      runs=settings.runs)
     result = sweep(spec, jobs=settings.jobs)
-    blocks, points = _grid_outputs(result.points)
+    trace_points, points = _grid_outputs(result.points)
     summary = {"command": command, "parameter": parameter, "points": points}
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, blocks, summary,
-                   _manifest(command, settings, grid))
+    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, trace_points,
+                   summary, _manifest(command, settings, grid))
 
 
 def cmd_sweep_adv(settings: RunSettings) -> None:
@@ -571,7 +627,7 @@ def cmd_optimize(settings: RunSettings) -> None:
     result = optimize_advertisement(settings.config, grid,
                                     objective=settings.objective,
                                     runs=settings.runs, jobs=settings.jobs)
-    blocks, points = _grid_outputs(result.sweep_result.points)
+    trace_points, points = _grid_outputs(result.sweep_result.points)
     summary = {
         "command": "optimize",
         "objective": result.objective,
@@ -583,8 +639,8 @@ def cmd_optimize(settings: RunSettings) -> None:
         ],
         "points": points,
     }
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, blocks, summary,
-                   _manifest("optimize", settings, grid))
+    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, trace_points,
+                   summary, _manifest("optimize", settings, grid))
 
 
 # Each command's handler and its help line.

@@ -27,6 +27,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import model
 from .graph import TopologySpec, check_int
 from .model import MODES, MarketBatch, MarketParams, MarketState, shared_params
 
@@ -72,8 +73,11 @@ def derive_seed(master: int, index: int) -> int:
 
     SplitMix64: advance the state by (index + 1) increments of the golden
     gamma, then apply the standard finalizer. Documented here and in the
-    README so other implementations can reproduce the derivation.
+    README so other implementations can reproduce the derivation. NumPy
+    integers are taken as the Python ints they hold, so fixed-width
+    arithmetic never wraps or overflows.
     """
+    master, index = check_int("master", master), check_int("index", index)
     if index < 0:
         raise ValueError("index: must be >= 0 (got %d)" % index)
     z = (master + (index + 1) * _GOLDEN) & _MASK64
@@ -249,9 +253,12 @@ def _new_market(configs: Sequence[SimulationConfig],
     The streams are independent, so every graph is drawn first and the
     market is built around zero likings and unit tolerances (a broadcast
     view and a vector, no (rows, m) buffer); each run's likings then go
-    into its rows through one (n, m) draw, and its tolerances in place."""
+    into its rows in row blocks of at most model.BLOCK_CELLS cells, which
+    draw the stream in the same order as one (n, m) draw, and its
+    tolerances in place."""
     first = configs[0]
     n, m, runs = first.n_agents, first.m_initial, len(configs)
+    block = max(model.BLOCK_CELLS // m, 1)
     graphs = [c.topology.build(n, rng) for c, rng in zip(configs, rngs)]
     args = (first.mode, np.broadcast_to(0.0, (runs * n, m)), np.ones(runs * n),
             np.full(m, first.params.catalog_ads))
@@ -262,9 +269,10 @@ def _new_market(configs: Sequence[SimulationConfig],
         market = MarketBatch([c.params for c in configs], graphs, *args,
                              capacity=capacity)
     for b, rng in enumerate(rngs):
-        rows = slice(b * n, (b + 1) * n)
-        market.liking[rows, :m] = rng.random((n, m))
-        rng.random(out=market.tolerance[rows])
+        for lo in range(b * n, (b + 1) * n, block):
+            hi = min(lo + block, (b + 1) * n)
+            market.liking[lo:hi, :m] = rng.random((hi - lo, m))
+        rng.random(out=market.tolerance[b * n:(b + 1) * n])
     np.subtract(1.0, market.tolerance, out=market.tolerance)  # flip [0,1) to (0,1]
     return market
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,17 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fashsim.cli as cli
 from fashsim.cli import (
     _KEYS,
     TRACE_HEADER,
     ConfigError,
     RunSettings,
     _build_parser,
-    _float_cells,
-    _fmt,
     _json_dumps,
     _peak_block,
-    _trace_rows,
+    _trace_text,
     main,
     parse_config,
 )
@@ -399,18 +399,23 @@ def peak_block_reference(obj):
     return block
 
 
+def float_cell(x) -> str:
+    """A trace.csv float cell: 17 significant digits round-trip float64."""
+    return format(float(x), ".17g")
+
+
 def trace_rows_reference(rounds, item_ids, ads, intros, mean, std, grid_value=None):
-    """trace.csv lines formatted one cell at a time with _fmt."""
+    """trace.csv lines formatted one cell at a time with float_cell."""
     rates = np.diff(mean, axis=0, prepend=0.0)
-    lead = () if grid_value is None else (_fmt(grid_value),)
+    lead = () if grid_value is None else (float_cell(grid_value),)
     rows = []
     for ri, r in enumerate(rounds):
         for ci, a in enumerate(item_ids):
             if int(intros[ci]) >= int(r):
                 continue
             rows.append(",".join(lead + (
-                str(int(r)), str(int(a)), _fmt(ads[ci]), str(int(intros[ci])),
-                _fmt(mean[ri, ci]), _fmt(std[ri, ci]), _fmt(rates[ri, ci]),
+                str(int(r)), str(int(a)), float_cell(ads[ci]), str(int(intros[ci])),
+                float_cell(mean[ri, ci]), float_cell(std[ri, ci]), float_cell(rates[ri, ci]),
             )))
     return rows
 
@@ -464,44 +469,163 @@ class TestColumnwiseWriters:
         assert block["6"] == {"peak_share": 0.3, "peak_share_round": 4, "final_share": 0.3,
                               "peak_rate": 0.3, "peak_rate_round": 4}
 
+
+def trace_point(mean, std=None, *, grid_value=None, intros=None, ads=None, item_ids=None):
+    """One of _trace_text's points, over rounds 1..R of an (R, M) mean."""
+    mean = np.asarray(mean, dtype=np.float64)
+    R, M = mean.shape
+    return (grid_value, np.arange(1, R + 1),
+            np.arange(M) if item_ids is None else np.asarray(item_ids),
+            np.linspace(0.0, 1.0, M) if ads is None else np.asarray(ads, dtype=np.float64),
+            np.zeros(M, dtype=np.int64) if intros is None else np.asarray(intros),
+            mean, mean[::-1] * 0.5 if std is None else np.asarray(std, dtype=np.float64))
+
+
+def reference_lines(points):
+    """trace.csv data lines of points, formatted one cell at a time, each
+    with its newline. (Lists, not one text: pytest compares long lists at
+    once, where it would diff long texts for minutes.)"""
+    return [line for grid_value, rounds, ids, ads, intros, mean, std in points
+            for line in trace_rows_text(rounds, ids, ads, intros, mean, std,
+                                        grid_value).splitlines(True)]
+
+
+def written_lines(points):
+    """_trace_text's chunks, checked to be whole lines, as lines."""
+    chunks = list(_trace_text(points))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    return "".join(chunks).splitlines(True)
+
+
+class TestTraceText:
+    """_trace_text against the per-cell reference, trace_rows_text."""
+
     @pytest.mark.parametrize("grid_value", [None, 0.1 + 0.2, -0.0, 10.0])
-    def test_trace_rows_match_per_cell_formatting(self, grid_value):
+    def test_matches_per_cell_formatting(self, grid_value):
         values = [-0.0, 5e-324, 1 / 3, 0.1 + 0.2, 1.0, 1e16]
         mean = np.array([values, values[::-1], values[2:] + values[:2]])
-        std = mean[::-1] * 0.5
-        ads = np.array(values)
-        intros = np.array([0, 0, 1, 2, 3, 0])
-        item_ids = np.array([0, 1, 2, 3, 4, 7])
-        rounds = np.array([1, 2, 3])
-        got = _trace_rows(rounds, item_ids, ads, intros, mean, std, grid_value)
-        want = trace_rows_text(rounds, item_ids, ads, intros, mean, std, grid_value)
-        assert got == want
-        lines = got.splitlines()
+        point = trace_point(mean, grid_value=grid_value, ads=values,
+                            intros=[0, 0, 1, 2, 3, 0], item_ids=[0, 1, 2, 3, 4, 7])
+        lines = written_lines([point])
+        assert lines == reference_lines([point])
         assert len(lines) == 3 * 3 + 2 + 1  # item 4 (intro 3) never appears
-        assert lines[0].endswith("1,0,-0,0,-0,0.16666666666666666,-0")
+        assert lines[0].endswith("1,0,-0,0,-0,0.16666666666666666,-0\n")
         assert "4.9406564584124654e-324" in lines[1]
 
-        # Few distinct values (zeros of both signs, NaNs, infinities) take
-        # the format-once branch; all-distinct values the per-cell one.
-        few = np.array([[0.0, -0.0, np.nan, np.inf],
-                        [-np.inf, 0.0, -0.0, -np.nan],
-                        [np.nan, np.inf, 0.0, -0.0],
-                        [-0.0, -np.inf, np.inf, 0.0]])
-        many = np.arange(16.0).reshape(4, 4) / 3 - 2.0
-        assert _float_cells(few.ravel())[1] == "%s"
-        assert _float_cells(many.ravel())[1] == "%.17g"
-        args = (np.arange(1, 5), np.array([3, 0, 1, 2]), np.array([0.5, -0.0, np.nan, 1e16]),
-                np.zeros(4, dtype=np.int64))
-        for mean, std in ((few, many), (many, few), (few, few)):
-            got = _trace_rows(*args, mean, std, grid_value)
-            assert got == trace_rows_text(*args, mean, std, grid_value)
-            assert len(got.splitlines()) == 16
-        assert "nan" in got and "-inf" in got and ",-0," in got
+    def test_grid_points_that_share_values(self):
+        """Later points reuse the texts of earlier ones, also where a value
+        moves between columns, and each point keeps its own grid value."""
+        shares = np.array([[0.0, 0.25, 0.5], [0.25, 0.5, 0.75], [0.5, 0.75, 1.0]])
+        points = [trace_point(shares, grid_value=g) for g in (1.0, 5.0)]
+        points.append(trace_point(shares[::-1], shares, grid_value=0.25))
+        points.append(trace_point(shares.T, grid_value=10.0, intros=[0, 1, 0]))
+        lines = written_lines(points)
+        assert lines == reference_lines(points)
+        assert [line.split(",")[0] for line in lines[::9]] == ["1", "5", "0.25", "10"]
 
-        # No item trades before the last round: an empty block.
-        late = (np.arange(1, 4), np.arange(3), np.full(3, 0.5), np.array([3, 3, 5]))
-        assert _trace_rows(*late, mean[:3, :3], std[:3, :3], grid_value) == ""
-        assert trace_rows_reference(*late, mean[:3, :3], std[:3, :3], grid_value) == []
+    def test_signed_zeros_nan_payloads_and_infinities(self):
+        """Cells are told apart by bit pattern: -0.0 keeps its sign, and
+        NaNs of either sign and any payload all read nan. The std column
+        is not computed on, so it carries signalling NaNs too."""
+        quiet = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FFC000000000001,
+                          0x7FF8000000000123, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        signalling = np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64)
+        n, s = quiet.view(np.float64), signalling.view(np.float64)
+        few = np.array([[0.0, -0.0, n[0], np.inf, n[3]],
+                        [-np.inf, 0.0, -0.0, n[1], np.inf],
+                        [n[2], np.inf, 0.0, -0.0, n[4]],
+                        [-0.0, -np.inf, np.inf, 0.0, -0.0]])
+        std = few[::-1].copy()
+        std[1:3, 1:3] = s
+        points = [trace_point(few, std, grid_value=-0.0,
+                              ads=[0.5, -0.0, n[2], np.inf, -np.inf]),
+                  trace_point(few[:, ::-1], few, grid_value=np.inf)]
+        lines = written_lines(points)
+        assert lines == reference_lines(points)
+        assert len(lines) == 40
+        for cell in (",nan,", ",-inf,", ",-0,", ",inf\n", ",nan\n"):
+            assert cell in "".join(lines)
+        assert lines[0] == "-0,1,0,0.5,0,0,-0,0\n"
+        assert lines[-1] == "inf,4,4,1,0,-0,-0,nan\n"
+
+    def test_empty_points_first_in_the_middle_and_last(self):
+        """A point where no item trades before the last round writes no
+        line, wherever it falls; the points around it are unchanged."""
+        shares = np.array([[0.1, 0.2, 0.3], [0.2, 0.4, 0.6], [0.3, 0.6, 0.9]])
+        empty = trace_point(shares, grid_value=7.0, intros=[3, 3, 5])
+        full = [trace_point(shares, grid_value=1.0), trace_point(shares * 0.5, grid_value=2.0)]
+        assert written_lines([empty]) == reference_lines([empty]) == []
+        for points in ([empty] + full, full[:1] + [empty] + full[1:], full + [empty],
+                       [empty, empty]):
+            lines = written_lines(points)
+            assert lines == reference_lines(points)
+            assert {line.split(",")[0] for line in lines} <= {"1", "2"}
+        assert list(_trace_text([])) == []
+
+    def test_an_all_distinct_column(self):
+        rng = np.random.default_rng(5)
+        mean = rng.random((40, 30))
+        points = [trace_point(mean, rng.random((40, 30)) * 1e-300, grid_value=0.5),
+                  trace_point(-mean.cumsum(axis=0), grid_value=0.7)]
+        assert written_lines(points) == reference_lines(points)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_a_point_split_over_several_chunks(self, monkeypatch, rows):
+        """With a budget of a few rows, a point's lines come in several
+        chunks, each a whole number of lines within the budget, and the
+        text table is emptied and refilled between them."""
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        shares = np.round(rng.random((6, 5)), 1)
+        points = [trace_point(shares, grid_value=1.0, intros=[0, 2, 0, 4, 1]),
+                  trace_point(rng.random((6, 5)), grid_value=2.0)]
+        chunks = list(_trace_text(points))
+        assert "".join(chunks).splitlines(True) == reference_lines(points)
+        assert all(0 < chunk.count("\n") <= rows for chunk in chunks)
+        assert len(chunks) == -(-23 // rows) + -(-30 // rows)  # 23 and 30 lines
+
+    def test_the_text_table_stays_within_one_chunk_of_cells(self, monkeypatch):
+        """The table keeps one spelling per bit pattern, sorted, and never
+        more than one chunk's float cells (12 at a budget of 4 rows)."""
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        table = cli._FloatTexts()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            values = np.concatenate([rng.random(6), [0.5, -0.0, 0.0, 0.5, np.nan, 1e16]])
+            at = table.find(values)
+            assert len(table.bits) <= 12
+            assert (np.diff(table.bits) > 0).all()
+            assert len(table.bits) == len(table.comma) == len(table.newline)
+            assert table.comma[at].tolist() == [float_cell(v) + "," for v in values]
+            assert table.newline[at].tolist() == [float_cell(v) + "\n" for v in values]
+            before = table.bits.copy()
+            assert (table.find(values[::-1]) == at[::-1]).all()
+            assert np.array_equal(table.bits, before)  # nothing formatted again
+
+    def test_writing_equal_points_holds_one_chunk_at_a_time(self, tmp_path):
+        """tracemalloc: K equal grid points of 20 rounds x 3,000 items
+        (60,000 lines, 5.2 MB of text each) peak at the same height for
+        K = 1 and K = 6, about one point's text (5.5 MB: a point's row
+        indices and one chunk's cells, text and its encoded copy); the
+        writer keeps no chunk's text past its write. Holding every point's
+        text until the end, it peaked at 12.8 MB for one point and 38.7 MB
+        for six."""
+        rng = np.random.default_rng(9)
+        mean = np.round(rng.random((20, 3000)), 2)
+        point = trace_point(mean, mean * 0.1, grid_value=3.0)
+        header = ("grid_value",) + TRACE_HEADER
+        peaks = []
+        for k in (1, 6):
+            tracemalloc.start()
+            try:
+                cli._write_csv(str(tmp_path / "trace.csv"), header, _trace_text([point] * k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        point_bytes = ((tmp_path / "trace.csv").stat().st_size - len(",".join(header)) - 1) / 6
+        assert point_bytes > 5_000_000
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[0] < 1.5 * point_bytes
 
 
 JSON_KEYS = st.one_of(

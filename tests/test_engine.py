@@ -78,6 +78,21 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(42, -1)
 
+    @pytest.mark.parametrize("master", [0, 5, 42, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_numpy_integers_give_the_python_int_seeds(self, master):
+        want = [derive_seed(master, i) for i in (0, 1, 7, 10_000)]
+        for kind in (np.uint64, np.int64):
+            if master > np.iinfo(kind).max:
+                continue
+            assert [derive_seed(kind(master), kind(i)) for i in (0, 1, 7, 10_000)] == want
+            assert [derive_seed(kind(master), i) for i in (0, 1, 7, 10_000)] == want
+        assert want == [splitmix64_reference(master, i) for i in (0, 1, 7, 10_000)]
+
+    def test_rejects_non_integers(self):
+        for master, index in ((1.0, 0), (True, 0), ("5", 0), (5, 1.5), (5, np.float64(2))):
+            with pytest.raises(ValueError, match="master|index"):
+                derive_seed(master, index)
+
 
 class TestConfigValidation:
     def test_defaults(self):
@@ -162,6 +177,24 @@ class TestInitMarket:
         assert np.all(state.advertisement[: state.m] == 0.25)
         assert np.all(state.intro_rounds[: state.m] == 0)
         assert state.round == 0 and state.m == cfg.m_initial
+
+    @pytest.mark.parametrize("mode", ["fashion", "cultural"])
+    def test_likings_drawn_in_row_blocks_match_one_draw(self, monkeypatch, mode):
+        """At a budget of 7 cells, 6 catalog columns go one row a block, 3
+        go two rows and 8 (wider than the budget) one row; the stream is
+        read as by one (n, m) draw after the graph, run by run."""
+        monkeypatch.setattr(model, "BLOCK_CELLS", 7)
+        for m in (6, 3, 8):
+            configs = [small_config(n_agents=9, m_initial=m, mode=mode, seed=s)
+                       for s in (3, 4)]
+            market = engine._new_market(configs, [rng_from(c.seed) for c in configs])
+            for b, cfg in enumerate(configs):
+                rng = rng_from(cfg.seed)
+                cfg.topology.build(cfg.n_agents, rng)
+                rows = slice(b * 9, (b + 1) * 9)
+                assert np.array_equal(market.liking[rows, :m], rng.random((9, m)))
+                assert np.array_equal(market.tolerance[rows], 1.0 - rng.random(9))
+            assert not market.liking[:, m:].any()
 
     def test_capacity_covers_the_whole_schedule(self):
         cfg = small_config(rounds=9, params=MarketParams(intro_period=2, intro_batch=3))
@@ -931,9 +964,11 @@ class TestTraceEvents:
 
     def test_the_trace_keeps_four_bytes_per_cell(self):
         """tracemalloc on a 2 * 10^4-agent ring (50 + 4 items, 30 rounds):
-        the run peaks under 35 bytes per cell and the finished Trace holds
+        the run peaks under 32 bytes per cell and the finished Trace holds
         under 5, its consumed array and the small per-round tables. With
-        every round's events kept as arrays it was 38.5 and 8.9."""
+        every round's events kept as arrays it was 38.5 and 8.9; with the
+        catalog likings drawn through one (n, m) buffer it peaked at 32.7,
+        and in row blocks at 29.9."""
         cfg = SimulationConfig(n_agents=20_000, m_initial=50, rounds=30)
         cells = cfg.n_agents * engine._final_item_count(cfg)
         tracemalloc.start()
@@ -943,7 +978,7 @@ class TestTraceEvents:
         finally:
             tracemalloc.stop()
         assert trace.consumed.shape == (cfg.n_agents, 54)
-        assert peak / cells < 35
+        assert peak / cells < 32
         assert held / cells < 5
 
 
