@@ -288,8 +288,8 @@ def _settings_as_dict(settings: RunSettings, grid: Optional[Tuple[float, ...]]) 
     return doc
 
 
-# Lines of trace.csv built at a time: a grid point's lines go out in
-# chunks of at most this many, so the writer holds one chunk's cells and
+# Lines of trace.csv built at a time: the file's lines go out in chunks
+# of this many (the last shorter), so the writer holds one chunk's cells and
 # text (about 1.4 MB at catalog-wide's widths), never a point's or the
 # file's. Picked by timing the writer, sizes interleaved, on catalog-wide's
 # three 60,675-line points at seed 11 (2 vCPUs, median of 21): 2^12 /
@@ -301,97 +301,84 @@ _CHUNK_ROWS = 1 << 14
 
 
 def _trace_text(points) -> Iterator[str]:
-    """trace.csv's data lines as text chunks of at most _CHUNK_ROWS lines.
+    """trace.csv's data lines as text chunks of _CHUNK_ROWS lines, the
+    last one shorter.
 
     points yields one (grid_value, rounds, item_ids, ads, intros, mean,
     std) per grid point; grid_value None means no grid_value column.
     Lines are round-major, and an item introduced at round r first trades
     in round r + 1, so it has no line before that. consumption_rate_mean
     is the round-on-round difference of mean, the first round's from 0.
-    Each cell carries its own ',' or newline, so a chunk is one join.
+    Chunks run across grid points: a chunk gathers pieces of consecutive
+    points (their round cells, item cells and float cells) until it is
+    full. Each cell carries its own ',' or newline, so a chunk is one join.
     """
-    texts = _FloatTexts()
+    pieces, held = [], 0
     for grid_value, rounds, item_ids, ads, intros, mean, std in points:
         rounds, intros = np.asarray(rounds), np.asarray(intros)
         ri, ci = np.nonzero(intros[None, :] < rounds[:, None])
         lead = "" if grid_value is None else "%.17g," % grid_value
         round_cells = np.array([lead + "%d," % r for r in rounds.tolist()], dtype=object)
-        ad_at = texts.find(np.asarray(ads, dtype=np.float64))  # before reading
-        ad_cells = texts.comma[ad_at].tolist()  # comma: find replaces the arrays
+        ad_at, ad_commas, _ = _float_texts(np.asarray(ads, dtype=np.float64))
         item_cells = np.array(
             ["%d,%s%d," % cells for cells in
-             zip(np.asarray(item_ids).tolist(), ad_cells, intros.tolist())],
+             zip(np.asarray(item_ids).tolist(), ad_commas[ad_at].tolist(), intros.tolist())],
             dtype=object)
         mean = np.asarray(mean, dtype=np.float64)
         columns = [np.ascontiguousarray(table, dtype=np.float64).ravel() for table in
                    (mean, std, np.diff(mean, axis=0, prepend=0.0))]
-        for lo in range(0, len(ri), _CHUNK_ROWS):
-            r, c = ri[lo:lo + _CHUNK_ROWS], ci[lo:lo + _CHUNK_ROWS]
+        lo = 0
+        while lo < len(ri):
+            hi = min(len(ri), lo + _CHUNK_ROWS - held)
+            r, c = ri[lo:hi], ci[lo:hi]
             at = r * len(intros) + c
-            yield _chunk_text(texts, round_cells[r], item_cells[c],
-                              np.concatenate([col.take(at) for col in columns]))
+            pieces.append((round_cells[r], item_cells[c], [col.take(at) for col in columns]))
+            held, lo = held + hi - lo, hi
+            if held == _CHUNK_ROWS:
+                yield _chunk_text(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield _chunk_text(pieces)
 
 
-class _FloatTexts:
-    """'%.17g' spellings of float64 values for one file, each formatted once.
+def _float_texts(floats):
+    """Each value's index among floats' distinct values, and the '%.17g'
+    spellings of those values followed by ',' and by a newline.
 
     Values are told apart by bit pattern, so -0.0 keeps its sign (every
-    NaN spells nan). bits is sorted, and comma[i] and newline[i] are the
-    spelling of bits[i] followed by ',' and by a newline. The table is
-    emptied before it would pass one chunk's worth of float cells
-    (3 * _CHUNK_ROWS), so a file of distinct values does not grow it past
-    that.
+    NaN spells nan), and one '%' spells them all.
     """
-
-    def __init__(self):
-        self.bits = np.empty(0, dtype=np.uint64)
-        self.comma = np.empty(0, dtype=object)
-        self.newline = np.empty(0, dtype=object)
-
-    def find(self, floats) -> np.ndarray:
-        """Each value's index in the table, adding the values it lacks."""
-        # The distinct values, by a stable sort: trace columns are long runs
-        # of a few values, which a stable (run-merging) sort orders fastest.
-        bits = floats.view(np.uint64)
-        order = bits.argsort(kind="stable")
-        ordered = bits[order]
-        first = np.empty(len(bits), dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = np.empty(len(bits), dtype=np.int32)  # a chunk has under 2^31 cells
-        distinct[order] = np.cumsum(first, dtype=np.int32) - 1
-        keys = ordered[first]
-        pos = self.bits.searchsorted(keys)
-        new = pos == len(self.bits)
-        new[~new] = self.bits[pos[~new]] != keys[~new]
-        if not new.any():
-            return pos[distinct]
-        if len(self.bits) + np.count_nonzero(new) > 3 * _CHUNK_ROWS:
-            self.bits, self.comma, self.newline = self.bits[:0], self.comma[:0], self.newline[:0]
-            pos[:], new[:] = 0, True
-        values = keys[new]
-        # One '%' spells every new value; a spelling has no line break.
-        text = "%.17g\n" * len(values) % tuple(values.view(np.float64).tolist())
-        commas = text.replace("\n", ",\n").split("\n")[:-1]
-        self.bits = np.insert(self.bits, pos[new], values)
-        self.comma = np.insert(self.comma, pos[new], np.array(commas, dtype=object))
-        self.newline = np.insert(self.newline, pos[new],
-                                 np.array(text.splitlines(True), dtype=object))
-        return self.bits.searchsorted(keys)[distinct]
+    # A stable sort: trace columns are long runs of a few values, which a
+    # stable (run-merging) sort orders fastest.
+    bits = floats.view(np.uint64)
+    order = bits.argsort(kind="stable")
+    ordered = bits[order]
+    first = np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    at = np.empty(len(bits), dtype=np.int32)  # a chunk has under 2^31 cells
+    at[order] = np.cumsum(first, dtype=np.int32) - 1
+    distinct = ordered[first].view(np.float64).tolist()
+    text = "%.17g\n" * len(distinct) % tuple(distinct)  # a spelling has no line break
+    return (at, np.array(text.replace("\n", ",\n").split("\n")[:-1], dtype=object),
+            np.array(text.splitlines(True), dtype=object))
 
 
-def _chunk_text(texts: _FloatTexts, round_cells, item_cells, floats) -> str:
-    """One chunk's lines from its round and item cells and its float cells
-    (the mean, std and rate columns one after another). A function of its
-    own, so that the cell list is freed before the chunk is written."""
-    rows = len(round_cells)
-    at = texts.find(floats)
+def _chunk_text(pieces) -> str:
+    """One chunk's lines from its pieces of consecutive lines, each a
+    (round cells, item cells, [mean, std, rate] float cells). A function
+    of its own, so that the cell list is freed before the chunk is written."""
+    round_cells, item_cells, floats = zip(*pieces)
+    rows = sum(map(len, round_cells))
+    # Each float column, piece after piece.
+    at, commas, newlines = _float_texts(
+        np.concatenate([cells for column in zip(*floats) for cells in column]))
     cells = [None] * (5 * rows)
-    cells[0::5] = round_cells.tolist()
-    cells[1::5] = item_cells.tolist()
-    cells[2::5] = texts.comma[at[:rows]].tolist()
-    cells[3::5] = texts.comma[at[rows:2 * rows]].tolist()
-    cells[4::5] = texts.newline[at[2 * rows:]].tolist()
+    cells[0::5] = np.concatenate(round_cells).tolist()
+    cells[1::5] = np.concatenate(item_cells).tolist()
+    cells[2::5] = commas[at[:rows]].tolist()
+    cells[3::5] = commas[at[rows:2 * rows]].tolist()
+    cells[4::5] = newlines[at[2 * rows:]].tolist()
     return "".join(cells)
 
 

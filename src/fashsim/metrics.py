@@ -38,11 +38,13 @@ def gini(values: Sequence[float]) -> float:
     (m-1)/m means one holder owns everything. Rounding can carry the sum a
     few ulps past either bound (equal values give about -1e-17), so the
     result is clamped into [0, (m-1)/m]. All-zero input is rejected:
-    inequality of nothing is undefined.
+    inequality of nothing is undefined. So is NaN or infinite input.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("values: expected a nonempty 1-d sequence")
+    if not np.isfinite(x).all():
+        raise ValueError("values: shares must be finite")
     if np.any(x < 0.0):
         raise ValueError("values: shares must be nonnegative")
     total = float(x.sum())
@@ -64,8 +66,8 @@ def quality_share_correlation(
     Accepts a MarketState (qualities and shares read off the state), a
     Trace (this run's qualities vs final shares), or two explicit
     sequences. Needs at least two items and nonzero variance on both
-    sides; degenerate inputs are rejected rather than silently mapped
-    to 0 or NaN.
+    sides, all finite; degenerate inputs are rejected rather than
+    silently mapped to 0 or NaN.
     """
     if isinstance(arg, MarketState):
         q = np.array([quality(arg, a) for a in range(arg.n_items)])
@@ -82,6 +84,8 @@ def quality_share_correlation(
         raise ValueError("qualities and shares must be 1-d and equally long")
     if len(q) < 2:
         raise ValueError("need at least two items for a correlation")
+    if not (np.isfinite(q).all() and np.isfinite(c).all()):
+        raise ValueError("correlation undefined: NaN or infinite input")
     if float(np.var(q)) == 0.0 or float(np.var(c)) == 0.0:
         raise ValueError("correlation undefined: zero variance input")
     return float(np.corrcoef(q, c)[0, 1])

@@ -155,8 +155,9 @@ def optimize_advertisement(
     objective "final_share" scores each grid value by the tracked item's
     mean final share; "integrated_share" by its share summed over all
     recorded rounds. A* is the pure argmax of the emitted table, ties
-    resolved toward the smallest advertisement value. jobs caps the
-    worker threads, as in sweep (default 1, no thread pool).
+    resolved toward the smallest advertisement value, then the earliest
+    grid position (0.0 and -0.0 tie, and A* keeps the first one's sign).
+    jobs caps the worker threads, as in sweep (default 1, no thread pool).
     """
     if objective not in OBJECTIVES:
         raise ValueError(
@@ -178,11 +179,8 @@ def optimize_advertisement(
         se = float(values.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         table.append(ObjectivePoint(advertisement=pt.value, mean=mean, se=se))
 
-    order = sorted(range(len(table)), key=lambda i: table[i].advertisement)
-    best = order[0]
-    for i in order[1:]:
-        if table[i].mean > table[best].mean:
-            best = i
+    best = max(range(len(table)),
+               key=lambda i: (table[i].mean, -table[i].advertisement, -i))
     return OptimizeResult(
         objective=objective,
         a_star=table[best].advertisement,

@@ -571,9 +571,9 @@ class TestTraceText:
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_a_point_split_over_several_chunks(self, monkeypatch, rows):
-        """With a budget of a few rows, a point's lines come in several
-        chunks, each a whole number of lines within the budget, and the
-        text table is emptied and refilled between them."""
+        """With a budget of a few rows, the file's lines come in chunks of
+        exactly that many, the last one shorter, whatever the points'
+        sizes: a chunk takes lines from consecutive points."""
         monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
         rng = np.random.default_rng(rows)
         shares = np.round(rng.random((6, 5)), 1)
@@ -581,35 +581,34 @@ class TestTraceText:
                   trace_point(rng.random((6, 5)), grid_value=2.0)]
         chunks = list(_trace_text(points))
         assert "".join(chunks).splitlines(True) == reference_lines(points)
-        assert all(0 < chunk.count("\n") <= rows for chunk in chunks)
-        assert len(chunks) == -(-23 // rows) + -(-30 // rows)  # 23 and 30 lines
+        assert all(chunk.count("\n") == rows for chunk in chunks[:-1])
+        assert 0 < chunks[-1].count("\n") <= rows
+        assert len(chunks) == -(-53 // rows)  # 23 and 30 lines
 
-    def test_the_text_table_stays_within_one_chunk_of_cells(self, monkeypatch):
-        """The table keeps one spelling per bit pattern, sorted, and never
-        more than one chunk's float cells (12 at a budget of 4 rows)."""
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
-        table = cli._FloatTexts()
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            values = np.concatenate([rng.random(6), [0.5, -0.0, 0.0, 0.5, np.nan, 1e16]])
-            at = table.find(values)
-            assert len(table.bits) <= 12
-            assert (np.diff(table.bits) > 0).all()
-            assert len(table.bits) == len(table.comma) == len(table.newline)
-            assert table.comma[at].tolist() == [float_cell(v) + "," for v in values]
-            assert table.newline[at].tolist() == [float_cell(v) + "\n" for v in values]
-            before = table.bits.copy()
-            assert (table.find(values[::-1]) == at[::-1]).all()
-            assert np.array_equal(table.bits, before)  # nothing formatted again
+    def test_a_chunk_boundary_inside_a_point_and_an_empty_point_within_a_chunk(
+            self, monkeypatch):
+        """At 5 rows a chunk, the first chunk ends inside the first point
+        (8 lines) and the second joins its last 3 lines to the first 2 of
+        the third point (9 lines), past an empty point between them; the
+        two points share every share value."""
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+        shares = np.array([[0.1, 0.2, 0.3], [0.2, 0.4, 0.6], [0.3, 0.6, 0.9]])
+        points = [trace_point(shares, grid_value=1.0, intros=[0, 0, 1]),
+                  trace_point(shares, grid_value=7.0, intros=[3, 3, 5]),
+                  trace_point(shares, shares[::-1], grid_value=2.0)]
+        chunks = list(_trace_text(points))
+        assert "".join(chunks).splitlines(True) == reference_lines(points)
+        assert [chunk.count("\n") for chunk in chunks] == [5, 5, 5, 2]
+        assert [line.split(",")[0] for line in chunks[1].splitlines()] == ["1"] * 3 + ["2"] * 2
 
     def test_writing_equal_points_holds_one_chunk_at_a_time(self, tmp_path):
         """tracemalloc: K equal grid points of 20 rounds x 3,000 items
-        (60,000 lines, 5.2 MB of text each) peak at the same height for
-        K = 1 and K = 6, about one point's text (5.5 MB: a point's row
-        indices and one chunk's cells, text and its encoded copy); the
-        writer keeps no chunk's text past its write. Holding every point's
-        text until the end, it peaked at 12.8 MB for one point and 38.7 MB
-        for six."""
+        (60,000 lines, 5.2 MB of text each) peak at about the same height
+        for K = 1 and K = 6, about one point's text (5.8 and 6.0 MB: a
+        point's row indices and one chunk's cells, text and its encoded
+        copy); the writer keeps no chunk's text past its write. Holding
+        every point's text until the end, it peaked at 12.8 MB for one
+        point and 38.7 MB for six."""
         rng = np.random.default_rng(9)
         mean = np.round(rng.random((20, 3000)), 2)
         point = trace_point(mean, mean * 0.1, grid_value=3.0)

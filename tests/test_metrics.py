@@ -72,6 +72,9 @@ class TestGini:
             gini([0.0, 0.0])
         with pytest.raises(ValueError):
             gini(np.zeros((2, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                gini([bad, 1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -135,6 +138,11 @@ class TestQualityShareCorrelation:
             quality_share_correlation([0.1, 0.9], [0.5, 0.6, 0.7])
         with pytest.raises(ValueError):
             quality_share_correlation([0.1, 0.9])  # second sequence missing
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                quality_share_correlation([0.1, bad, 0.3], [0.2, 0.5, 0.1])
+            with pytest.raises(ValueError):
+                quality_share_correlation([0.2, 0.5, 0.1], [0.1, bad, 0.3])
 
 
 class TestShareSeries:

@@ -185,6 +185,11 @@ class TestOptimizer:
         res = optimize_advertisement(cfg, grid=(0.7, 0.2, 1.0), runs=3, jobs=1)
         assert all(pt.mean == 0.0 for pt in res.table)
         assert res.a_star == 0.2
+        for grid in ((0.0, -0.0), (-0.0, 0.0)):
+            # Equal advertisements tie too; the earlier grid value wins.
+            res = optimize_advertisement(cfg, grid=grid, runs=3, jobs=1)
+            assert all(pt.mean == 0.0 for pt in res.table)
+            assert math.copysign(1.0, res.a_star) == math.copysign(1.0, grid[0])
 
     def test_table_is_reproducible_from_the_sweep_output(self):
         cfg = sweep_config()
