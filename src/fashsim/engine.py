@@ -75,11 +75,13 @@ def derive_seed(master: int, index: int) -> int:
     gamma, then apply the standard finalizer. Documented here and in the
     README so other implementations can reproduce the derivation. NumPy
     integers are taken as the Python ints they hold, so fixed-width
-    arithmetic never wraps or overflows.
+    arithmetic never wraps or overflows. Both must fit in 64 bits, in
+    [0, 2^64), so no two inputs alias one child.
     """
     master, index = check_int("master", master), check_int("index", index)
-    if index < 0:
-        raise ValueError("index: must be >= 0 (got %d)" % index)
+    for name, value in (("master", master), ("index", index)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError("%s: must fit in 64 bits (got %r)" % (name, value))
     z = (master + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -368,26 +370,30 @@ def _simulate(configs: Sequence[SimulationConfig]) -> Tuple[MarketBatch, np.ndar
     return market, counts
 
 
-def _run_quality(market: MarketBatch, b: int, m: int) -> np.ndarray:
-    """Mean liking of each of the first m items in run b."""
-    n = market.run_size
-    return market.liking[b * n:(b + 1) * n, :m].mean(axis=0)
+def _read_out(market: MarketBatch, counts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """_simulate's market and counts as each run's shares (runs, R, M),
+    quality, its mean liking of each item (runs, M), and advertisements
+    (runs, M), and the runs' shared intro rounds (M,)."""
+    runs, n, m = market.runs, market.run_size, counts.shape[2]
+    ads = market.advertisement.reshape(runs, -1)[:, :m]
+    quality = market.liking[:, :m].reshape(runs, n, m).mean(axis=1)
+    return counts / n, quality, ads, market.intro_rounds[:m].copy()
 
 
 def run(config: SimulationConfig) -> Trace:
     """Execute one full simulation and return its trace (a batch of one)."""
     market, counts = _simulate([config])
-    R = config.rounds
-    m_final = counts.shape[2]
+    shares, quality, ads, intro_rounds = _read_out(market, counts)
+    R, m_final = counts.shape[1:]
     return Trace(
         config=config,
         n_agents=config.n_agents,
         rounds=np.arange(1, R + 1, dtype=np.int64),
         item_ids=np.arange(m_final, dtype=np.int64),
-        advertisements=market.advertisement[:m_final].copy(),
-        intro_rounds=market.intro_rounds[:m_final].copy(),
-        quality=_run_quality(market, 0, m_final),
-        shares=counts[0] / config.n_agents,
+        advertisements=ads[0],
+        intro_rounds=intro_rounds,
+        quality=quality[0],
+        shares=shares[0],
         counts=counts[0],
         consumed=market.consumed[:, :m_final],
     )
@@ -419,14 +425,8 @@ def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
 
 
 def _run_batch(batch: Sequence[tuple]) -> Tuple[np.ndarray, ...]:
-    """Each run's shares (runs, R, M), quality (runs, M) and
-    advertisements (runs, M), and the batch's intro rounds (M,)."""
-    market, counts = _simulate([config for _, _, config in batch])
-    m = counts.shape[2]
-    runs = market.runs
-    ads = market.advertisement.reshape(runs, -1)[:, :m]
-    quality = np.stack([_run_quality(market, b, m) for b in range(runs)])
-    return counts / market.run_size, quality, ads, market.intro_rounds[:m].copy()
+    """Simulate a batch of (point, run, config) work; see _read_out."""
+    return _read_out(*_simulate([config for _, _, config in batch]))
 
 
 def _in_order(fn, items: Sequence, jobs: int) -> Iterator:

@@ -128,8 +128,8 @@ class SocialGraph:
             and np.array_equal(self.targets, other.targets)
         )
 
-    def __hash__(self):  # mutable-array container; identity hashing only
-        return id(self)
+    def __hash__(self):
+        return hash((self.n, self.offsets.tobytes(), self.targets.tobytes()))
 
     def __repr__(self) -> str:
         return "SocialGraph(n=%d, edges=%d)" % (self.n, self.edge_count)

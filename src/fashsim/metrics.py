@@ -175,6 +175,7 @@ def peak_stats(series, rounds: Sequence[int] = None) -> PeakStats:
     1..len), or a value sequence plus explicit round labels. Works equally
     on share series and on rate series; only rates can reveal an item that
     stopped attracting new consumers, since shares are cumulative.
+    NaN or infinite values are rejected.
     """
     if isinstance(series, ShareSeries):
         values = np.asarray(series.shares, dtype=np.float64)
@@ -189,6 +190,8 @@ def peak_stats(series, rounds: Sequence[int] = None) -> PeakStats:
         raise ValueError("series: expected a nonempty 1-d sequence")
     if rounds.shape != values.shape:
         raise ValueError("rounds: must align with the value sequence")
+    if not np.isfinite(values).all():
+        raise ValueError("series: values must be finite")
     idx = int(np.argmax(values))  # first occurrence of the maximum
     return PeakStats(
         peak=float(values[idx]),

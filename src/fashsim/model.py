@@ -196,7 +196,8 @@ class MarketBatch:
     ``_score_columns`` and ``choose`` (fashion mode) walk the rows in
     blocks of at most BLOCK_CELLS cells that never cross a run boundary
     (``_blocks``), so each block is cache-sized and each run's penalty
-    and advertisement rows still broadcast over its agents.
+    and advertisement rows still broadcast over its agents. ``penalties``
+    adds its sigmoid table, run_size + 1 float64s per distinct beta.
 
     A MarketState is a batch of one run whose ``counts`` and
     ``advertisement`` have no run axis; the methods here index them as
@@ -264,16 +265,13 @@ class MarketBatch:
         self.params = run_params[0]
         self.run_params = tuple(run_params)
         self.runs, self.run_size = runs, n
-        if runs == 1:
-            self.graph = graphs[0]
-        else:
-            # Disjoint union: run b's offsets continue where run b - 1's
-            # edges end, and its targets move to its block of rows.
-            starts = np.cumsum([0] + [len(g.targets) for g in graphs])
-            offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
-            targets = [g.targets + b * n for b, g in enumerate(graphs)]
-            self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
-                                     np.concatenate(targets))
+        # Disjoint union: run b's offsets continue where run b - 1's edges
+        # end, and its targets move to its block of rows.
+        starts = np.cumsum([0] + [len(g.targets) for g in graphs])
+        offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
+        targets = [g.targets + b * n for b, g in enumerate(graphs)]
+        self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
+                                 np.concatenate(targets))
         self.mode = mode
         self.round = 0
         self.m = m
@@ -471,29 +469,23 @@ class MarketBatch:
         row per run (no run axis on a MarketState): the ``penalty`` of the
         item's share counts / run_size, bit for bit; zero in cultural mode.
 
-        The sigmoid comes from a table over counts 0..run_size, one row per
-        distinct beta, whose entries the scalar ``sigmoid`` fills the first
-        time a count needs them; so a large market never pays run_size + 1
-        calls up front.
+        The first call builds a table of the scalar ``sigmoid(k /
+        run_size, beta, sigmoid_center)`` for k = 0..run_size, one row per
+        distinct beta (8 bytes per entry: 0.8 MB at run_size = 10^5), and
+        every call is one gather from it times the advertisement. A row
+        costs 0.04 ms at run_size = 100, 1-2 ms at 5,000 and 20-37 ms at
+        10^5 (2 vCPUs, Python 3.11, NumPy 2.4), paid once per market.
         """
         if self.mode != "fashion":
             return np.zeros(self.counts[..., :self.m].shape)
         if self._sigmoid is None:
             betas, row = np.unique([p.beta for p in self.run_params], return_inverse=True)
-            row = row.reshape(self.counts.shape[:-1] + (1,))
-            self._sigmoid = (betas.tolist(), row,
-                             np.full((len(betas), self.run_size + 1), np.nan))
-        betas, row, table = self._sigmoid
-        counts = self.counts[..., :self.m]
-        values = table[row, counts]
-        missing = np.isnan(values)
-        if missing.any():
             n, center = self.run_size, self.params.sigmoid_center
-            rows = np.broadcast_to(row, counts.shape)[missing].tolist()
-            for r, k in set(zip(rows, counts[missing].tolist())):
-                table[r, k] = sigmoid(k / n, betas[r], center)
-            values = table[row, counts]
-        return values * self.advertisement[..., :self.m]
+            table = np.array([[sigmoid(k / n, beta, center) for k in range(n + 1)]
+                              for beta in betas.tolist()])
+            self._sigmoid = (row.reshape(self.counts.shape[:-1] + (1,)), table)
+        row, table = self._sigmoid
+        return table[row, self.counts[..., :self.m]] * self.advertisement[..., :self.m]
 
     def append_items(
         self,

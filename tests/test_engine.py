@@ -78,6 +78,15 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(42, -1)
 
+    def test_rejects_inputs_outside_64_bits(self):
+        # Each would otherwise wrap onto an in-range input's child.
+        for master, index in ((-1, 0), (2**64, 0), (2**64 + 5, 3), (42, 2**64),
+                              (42, 2**64 + 1), (-(2**64), 0)):
+            name = "master" if not 0 <= master < 2**64 else "index"
+            with pytest.raises(ValueError, match="%s: must fit in 64 bits" % name):
+                derive_seed(master, index)
+        assert derive_seed(2**64 - 1, 2**64 - 1) == splitmix64_reference(2**64 - 1, 2**64 - 1)
+
     @pytest.mark.parametrize("master", [0, 5, 42, 2**63 - 1, 2**63, 2**64 - 1])
     def test_numpy_integers_give_the_python_int_seeds(self, master):
         want = [derive_seed(master, i) for i in (0, 1, 7, 10_000)]
@@ -749,6 +758,23 @@ class TestRoundPenalties:
         assert got.dtype == np.float64 and got.shape == (m,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_the_table_is_built_whole_on_first_use(self):
+        """One row per distinct beta, holding the scalar sigmoid of every
+        share k / n, k = 0..n, bit for bit; later calls reuse it."""
+        lone = init_market(small_config(params=MarketParams(beta=7.3, sigmoid_center=0.3)))
+        _, batch, _ = TestBlockedKernel().mixed_batch()
+        for market, betas in ((lone, [7.3]), (batch, [0.5, 2.0, 6.0, 40.0])):
+            assert market._sigmoid is None
+            market.penalties()
+            built = market._sigmoid
+            row, table = built
+            n, center = market.run_size, market.params.sigmoid_center
+            want = [[sigmoid(k / n, beta, center) for k in range(n + 1)] for beta in betas]
+            assert bits(table) == bits(np.array(want))
+            assert [betas[r] for r in row.reshape(-1)] == [p.beta for p in market.run_params]
+            market.penalties()
+            assert market._sigmoid is built
+
     def test_cultural_mode_has_no_penalty(self):
         state = init_market(small_config(mode="cultural"))
         state.counts[:state.m] = [0, 6, 3, 6]
@@ -1167,12 +1193,15 @@ class TestBatches:
         ]
         batch, counts = engine._simulate(configs)
         assert isinstance(batch, MarketBatch) and batch.runs == 4
-        n = base.n_agents
+        n, m = base.n_agents, counts.shape[2]
+        quality = engine._read_out(batch, counts)[1]
         for b, cfg in enumerate(configs):
             lone, lone_counts = engine._simulate([cfg])
             assert isinstance(lone, MarketState)
             assert bits(counts[b]) == bits(lone_counts[0])
             rows = slice(b * n, (b + 1) * n)
+            # The one (runs, n, m) reduction against each run's own mean.
+            assert bits(quality[b]) == bits(batch.liking[rows, :m].mean(axis=0))
             for name in ("liking", "tolerance", "consumed", "nbr_counts"):
                 assert bits(getattr(batch, name)[rows]) == bits(getattr(lone, name)), name
             assert bits(batch.graph.degrees[rows]) == bits(lone.graph.degrees)

@@ -292,6 +292,14 @@ class TestSocialGraph:
         assert a == b and a != build_ring(8, 4)
         assert neighbors(a, 3) == a.neighbors(3) == {2, 4}
 
+    def test_equal_graphs_hash_equal(self):
+        for a, b in ((build_ring(6, 2), build_ring(6, 2)),
+                     (build_ring(9, 4), SocialGraph.from_adjacency(oracles.ring_sets(9, 4)))):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+        assert len({build_ring(8, 2), build_ring(8, 4)}) == 2
+
 
 class TestTopologySpec:
     def test_defaults(self):

@@ -248,3 +248,6 @@ class TestPeakStats:
             peak_stats([])
         with pytest.raises(ValueError):
             peak_stats([0.1, 0.2], rounds=[1])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                peak_stats([0.1, bad, 0.3])
