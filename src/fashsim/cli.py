@@ -14,9 +14,11 @@ the FASHSIM_OUT environment variable, else "out"):
   summary.json  final shares, inequality, quality/share correlation, peaks
   manifest.json the fully resolved configuration, seed, version, timestamp
 
-trace.csv for run/ensemble carries the columns
+trace.csv carries the columns
   round,item_id,advertisement,intro_round,share_mean,share_std,consumption_rate_mean
-and sweep/optimize prepend a grid_value column. Floats are serialized with
+and a grid_value column in front when the manifest records a grid: the
+given one, else 0, 0.1, ..., 1.0 for sweep-adv and optimize and 1, 5, 10
+for sweep-beta. run and ensemble record none. Floats are serialized with
 17 significant digits ('.17g', which round-trips every float64), so
 identical invocations produce identical bytes. summary.json and
 manifest.json are json.dumps(payload, indent=2, sort_keys=True) and a
@@ -281,13 +283,6 @@ def parse_config(path: Optional[str],
     return RunSettings(config=config, **kwargs[""])
 
 
-def _settings_as_dict(settings: RunSettings, grid: Optional[Tuple[float, ...]]) -> Dict:
-    doc = {key: reduce(getattr, target.split("."), settings)
-           for key, (target, _, _) in _KEYS.items()}
-    doc["grid"] = grid
-    return doc
-
-
 # Lines of trace.csv built at a time: the file's lines go out in chunks
 # of this many (the last shorter), so the writer holds one chunk's cells and
 # text (about 1.4 MB at catalog-wide's widths), never a point's or the
@@ -531,18 +526,18 @@ def _ensemble_summary(ens: EnsembleResult) -> Dict:
     }
 
 
-def _write_outputs(out_dir: str, trace_header, trace_points, summary: Dict,
-                   manifest: Dict) -> None:
-    """Write the three output files; trace_points are _trace_text's points."""
+def _write_outputs(out_dir: str, trace_points, summary: Dict, manifest: Dict) -> None:
+    """Write the three output files; trace_points are _trace_text's points.
+    trace.csv has the grid_value column when the manifest records a grid."""
+    lead = () if manifest["config"]["grid"] is None else ("grid_value",)
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "trace.csv"), trace_header,
+    _write_csv(os.path.join(out_dir, "trace.csv"), lead + TRACE_HEADER,
                _trace_text(trace_points))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _manifest(command: str, settings: RunSettings,
-              grid: Optional[Tuple[float, ...]]) -> Dict:
+def _manifest(command: str, settings: RunSettings) -> Dict:
     return {
         "tool": "fashsim",
         "version": __version__,
@@ -555,24 +550,20 @@ def _manifest(command: str, settings: RunSettings,
             "child(j), then that point's runs by its own children"
         ),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _settings_as_dict(settings, grid),
+        "config": {key: reduce(getattr, target.split("."), settings)
+                   for key, (target, _, _) in _KEYS.items()},
     }
 
 
-def cmd_run(settings: RunSettings) -> None:
+def _cmd_run(settings: RunSettings) -> Tuple[List[tuple], Dict]:
     trace = run(settings.config)
-    point = (None, trace.rounds, trace.item_ids, trace.advertisements,
-             trace.intro_rounds, trace.shares, np.zeros_like(trace.shares))
-    summary = {"command": "run", **_trace_summary(trace)}
-    _write_outputs(settings.out, TRACE_HEADER, [point], summary,
-                   _manifest("run", settings, None))
+    return [(None, trace.rounds, trace.item_ids, trace.advertisements, trace.intro_rounds,
+             trace.shares, np.zeros_like(trace.shares))], _trace_summary(trace)
 
 
-def cmd_ensemble(settings: RunSettings) -> None:
+def _cmd_ensemble(settings: RunSettings) -> Tuple[List[tuple], Dict]:
     ens = run_ensemble(settings.config, settings.runs, jobs=settings.jobs)
-    summary = {"command": "ensemble", **_ensemble_summary(ens)}
-    _write_outputs(settings.out, TRACE_HEADER, [_ensemble_point(ens)], summary,
-                   _manifest("ensemble", settings, None))
+    return [_ensemble_point(ens)], _ensemble_summary(ens)
 
 
 def _ensemble_point(ens: EnsembleResult, grid_value: Optional[float] = None) -> tuple:
@@ -588,35 +579,19 @@ def _grid_outputs(points) -> Tuple[List[tuple], List[Dict]]:
              for pt in points])
 
 
-def _sweep_outputs(command: str, parameter: str, settings: RunSettings,
-                   grid: Tuple[float, ...]) -> None:
-    spec = SweepSpec(base=settings.config, parameter=parameter, grid=grid,
+def _cmd_sweep(parameter: str, settings: RunSettings) -> Tuple[List[tuple], Dict]:
+    spec = SweepSpec(base=settings.config, parameter=parameter, grid=settings.grid,
                      runs=settings.runs)
-    result = sweep(spec, jobs=settings.jobs)
-    trace_points, points = _grid_outputs(result.points)
-    summary = {"command": command, "parameter": parameter, "points": points}
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, trace_points,
-                   summary, _manifest(command, settings, grid))
+    trace_points, points = _grid_outputs(sweep(spec, jobs=settings.jobs).points)
+    return trace_points, {"parameter": parameter, "points": points}
 
 
-def cmd_sweep_adv(settings: RunSettings) -> None:
-    grid = settings.grid if settings.grid is not None else _DEFAULT_GRID_ADV
-    _sweep_outputs("sweep-adv", "advertisement", settings, grid)
-
-
-def cmd_sweep_beta(settings: RunSettings) -> None:
-    grid = settings.grid if settings.grid is not None else _DEFAULT_GRID_BETA
-    _sweep_outputs("sweep-beta", "beta", settings, grid)
-
-
-def cmd_optimize(settings: RunSettings) -> None:
-    grid = settings.grid if settings.grid is not None else _DEFAULT_GRID_ADV
-    result = optimize_advertisement(settings.config, grid,
+def _cmd_optimize(settings: RunSettings) -> Tuple[List[tuple], Dict]:
+    result = optimize_advertisement(settings.config, settings.grid,
                                     objective=settings.objective,
                                     runs=settings.runs, jobs=settings.jobs)
     trace_points, points = _grid_outputs(result.sweep_result.points)
-    summary = {
-        "command": "optimize",
+    return trace_points, {
         "objective": result.objective,
         "a_star": result.a_star,
         "tracked_item": result.tracked_item,
@@ -626,17 +601,21 @@ def cmd_optimize(settings: RunSettings) -> None:
         ],
         "points": points,
     }
-    _write_outputs(settings.out, ("grid_value",) + TRACE_HEADER, trace_points,
-                   summary, _manifest("optimize", settings, grid))
 
 
-# Each command's handler and its help line.
+# Each command's handler, its default grid (None: the command takes no
+# grid, and its manifest records none) and its help line. A handler takes
+# the settings with the grid resolved and returns trace.csv's points (see
+# _trace_text) and the summary's fields besides "command".
 _COMMANDS = {
-    "run": (cmd_run, "single simulation"),
-    "ensemble": (cmd_ensemble, "many independent runs, aggregated"),
-    "sweep-adv": (cmd_sweep_adv, "sweep the tracked item's advertisement level"),
-    "sweep-beta": (cmd_sweep_beta, "sweep the penalty sigmoid steepness"),
-    "optimize": (cmd_optimize, "grid-search the tracked item's advertisement"),
+    "run": (_cmd_run, None, "single simulation"),
+    "ensemble": (_cmd_ensemble, None, "many independent runs, aggregated"),
+    "sweep-adv": (partial(_cmd_sweep, "advertisement"), _DEFAULT_GRID_ADV,
+                  "sweep the tracked item's advertisement level"),
+    "sweep-beta": (partial(_cmd_sweep, "beta"), _DEFAULT_GRID_BETA,
+                   "sweep the penalty sigmoid steepness"),
+    "optimize": (_cmd_optimize, _DEFAULT_GRID_ADV,
+                 "grid-search the tracked item's advertisement"),
 }
 
 
@@ -653,7 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version="fashsim %s" % __version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, add_help=True)
         cmd.add_argument("--config", help="key=value config file or manifest.json")
         for key, (_, _, flag_help) in _KEYS.items():
@@ -676,8 +655,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1
+    handler, default_grid, _ = _COMMANDS[args.command]
+    if default_grid is None or settings.grid is None:
+        settings = replace(settings, grid=default_grid)
     try:
-        _COMMANDS[args.command][0](settings)
+        trace_points, summary = handler(settings)
+        _write_outputs(settings.out, trace_points, {"command": args.command, **summary},
+                       _manifest(args.command, settings))
     except (ConfigError, ValueError) as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1

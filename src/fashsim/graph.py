@@ -33,6 +33,16 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_float(name: str, value) -> float:
+    """A real field's value as a Python float. A bool or a non-real value
+    is a ValueError naming the field; NumPy and Python ints and floats
+    pass. Range checks stay with the field's owner."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError("%s: must be a number (got %r)" % (name, value))
+    return float(value)
+
+
 class SocialGraph:
     """Immutable undirected graph in CSR form.
 
@@ -275,6 +285,7 @@ class TopologySpec:
                 % (self.kind, ", ".join(_TOPOLOGY_KINDS))
             )
         object.__setattr__(self, "k", check_int("k", self.k))
+        object.__setattr__(self, "p", check_float("p", self.p))
         if self.kind != "random":
             if self.k % 2 != 0 or self.k <= 0:
                 raise ValueError("k: must be a positive even integer (got %r)" % (self.k,))

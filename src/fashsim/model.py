@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import SocialGraph, check_int
+from .graph import SocialGraph, check_float, check_int
 
 __all__ = [
     "MarketParams",
@@ -84,6 +84,13 @@ class MarketParams:
     min_utility: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("gamma", "beta", "sigmoid_center", "catalog_ads"):
+            object.__setattr__(self, name, check_float(name, getattr(self, name)))
+        for name in ("tracked_intro_ad", "min_utility"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_float(name, getattr(self, name)))
+        object.__setattr__(self, "intro_ads",
+                           tuple(check_float("intro_ads", a) for a in self.intro_ads))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma: must be in [0, 1] (got %r)" % (self.gamma,))
         if not 0.0 < self.beta < math.inf:
@@ -184,8 +191,7 @@ class MarketBatch:
     ``_score``, the one copy of the formula: every cell goes through the
     same IEEE-754 operations in the same order as ``decide_round``, so the
     choices are those of a full recompute, bit for bit, whichever runs
-    share the batch. ``apply_consumption`` resets the watermark to 0, so
-    the next ``choose`` scores from scratch; other writes to the arrays
+    share the batch. Writes to the arrays other than ``commit_round``'s
     are not followed. The market owns the cache and its scratch buffer,
     so batches on different threads share no memory.
 
@@ -378,9 +384,8 @@ class MarketBatch:
 
         Agents are rows over all runs and must be strictly ascending (one
         consumption per agent per round). Every cache update is an integer
-        add or store, so the result equals applying each pair with
-        ``MarketState.apply_consumption``, in any order. The whole batch is
-        validated before anything is written.
+        add or store, so the result equals committing each pair alone, in
+        any order. The whole batch is validated before anything is written.
 
         The live columns not yet scored are scored first; then the cells
         whose neighbour counts rose are re-scored and the consumed pairs
@@ -536,9 +541,8 @@ class MarketState(MarketBatch):
 
     A batch of one (see MarketBatch): ``counts``, ``advertisement`` and
     ``intro_rounds`` are per-item vectors, and the scalar accessors below
-    read one agent or item. ``apply_consumption`` is the scalar one-event
-    form of ``commit_round`` that tests replay as the reference; both keep
-    the counters consistent with the ``consumed`` matrix.
+    read one agent or item. ``apply_consumption`` commits one event
+    through ``commit_round``.
     """
 
     __slots__ = ()
@@ -589,19 +593,11 @@ class MarketState(MarketBatch):
         return bool(self.consumed[agent_id, item_id])
 
     def apply_consumption(self, agent_id: int, item_id: int, round_no: int) -> None:
-        """Commit one consumption event and update the running caches;
-        the score cache starts over at the next choose."""
-        _check_round(round_no)
+        """Commit one consumption event: commit_round of one pair, after
+        checking that both ids are integers, which its int64 cast is not."""
         _check_agent(self, agent_id)
         _check_item(self, item_id)
-        i, a = int(agent_id), int(item_id)
-        if self.consumed[i, a]:
-            raise ValueError("agent %d already consumed item %d" % (i, a))
-        self.consumed[i, a] = round_no
-        self.counts[a] += 1
-        nbrs = self.graph.neighbor_array(i)
-        self.nbr_counts[nbrs, a] += 1
-        self._scored = 0
+        self.commit_round(np.array([agent_id]), np.array([item_id]), round_no)
 
 
 def _product(x: np.ndarray, y, out: Optional[np.ndarray]) -> np.ndarray:

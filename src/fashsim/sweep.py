@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
-from .graph import check_int
+from .graph import check_float, check_int
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -52,6 +52,7 @@ class SweepSpec:
                 "parameter: expected one of %s (got %r)"
                 % (", ".join(SWEEP_PARAMETERS), self.parameter)
             )
+        object.__setattr__(self, "grid", tuple(check_float("grid", v) for v in self.grid))
         if len(self.grid) == 0:
             raise ValueError("grid: need at least one value")
         object.__setattr__(self, "runs", check_int("runs", self.runs))
@@ -164,8 +165,7 @@ def optimize_advertisement(
             "objective: expected one of %s (got %r)" % (", ".join(OBJECTIVES), objective)
         )
     tracked = tracked_item_id(config)
-    spec = SweepSpec(base=config, parameter="advertisement",
-                     grid=tuple(float(v) for v in grid), runs=runs)
+    spec = SweepSpec(base=config, parameter="advertisement", grid=grid, runs=runs)
     result = sweep(spec, jobs=jobs)
 
     table = []

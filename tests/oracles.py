@@ -206,6 +206,15 @@ def brute_force_round(state):
     return choices
 
 
+def commit_by_hand(state, agent, item, label):
+    """Record one consumption in a MarketState's consumed, counts and
+    neighbour counts by hand, without commit_round; the score cache is
+    left as it was."""
+    state.consumed[agent, item] = label
+    state.counts[item] += 1
+    state.nbr_counts[state.graph.neighbor_array(agent), item] += 1
+
+
 def brute_force_trace(config):
     """Full-run event log computed independently of engine.run/step.
 
@@ -224,9 +233,7 @@ def brute_force_trace(config):
         choices = brute_force_round(state)
         label = state.round + 1
         for i, a in choices:
-            state.consumed[i, a] = label
-            state.counts[a] += 1
-            state.nbr_counts[state.graph.neighbor_array(i), a] += 1
+            commit_by_hand(state, i, a, label)
         state.round = label
         per_round.append(choices)
     return per_round, state

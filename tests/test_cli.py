@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fashsim
 import fashsim.cli as cli
 from fashsim.cli import (
     _KEYS,
@@ -321,6 +323,27 @@ class TestSweepAndOptimize:
         doc = json.loads(read(out / "manifest.json"))
         assert doc["config"]["grid"] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                          0.6, 0.7, 0.8, 0.9, 1.0]
+
+    def test_sweep_adv_default_grid_is_eleven_points(self, tmp_path, cfg_file):
+        out = tmp_path / "o"
+        assert main(["sweep-adv", "--config", cfg_file, "--out", str(out),
+                     "--runs", "1"]) == 0
+        grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        assert json.loads(read(out / "manifest.json"))["config"]["grid"] == grid
+        points = json.loads(read(out / "summary.json"))["points"]
+        assert [p["value"] for p in points] == grid
+
+    @pytest.mark.parametrize("command", ["run", "ensemble"])
+    def test_run_and_ensemble_ignore_a_configured_grid(self, tmp_path, command):
+        """A grid in the config file does not reach run or ensemble: no
+        grid_value column, and the manifest records no grid."""
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CFG_TEXT + "grid = 0.5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        header = read(out / "trace.csv").decode().split("\n", 1)[0]
+        assert header == ",".join(TRACE_HEADER)
+        assert json.loads(read(out / "manifest.json"))["config"]["grid"] is None
 
 
 GOLDEN_BASE = """\
@@ -894,9 +917,15 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_invocation_reports_the_version(self):
+        """The subprocess imports the fashsim under test, installed or not:
+        its PYTHONPATH starts with the directory that holds the package."""
+        src = str(Path(fashsim.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "fashsim", "--version"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("fashsim ")

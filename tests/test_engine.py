@@ -150,6 +150,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^%s: must be an integer" % field):
             make(value)
 
+    @pytest.mark.parametrize("field, make, value", [
+        pytest.param(field, make, value, id="%s-%r" % (field, value))
+        for field, make, optional in [
+            ("gamma", lambda v: MarketParams(gamma=v), False),
+            ("beta", lambda v: MarketParams(beta=v), False),
+            ("sigmoid_center", lambda v: MarketParams(sigmoid_center=v), False),
+            ("catalog_ads", lambda v: MarketParams(catalog_ads=v), False),
+            ("tracked_intro_ad", lambda v: MarketParams(tracked_intro_ad=v), True),
+            ("min_utility", lambda v: MarketParams(min_utility=v), True),
+            ("intro_ads", lambda v: MarketParams(intro_ads=(0.5, v)), False),
+            ("p", lambda v: TopologySpec(p=v), False),
+            ("grid", lambda v: SweepSpec(small_config(), "beta", (2.0, v), runs=1), False),
+        ]
+        for value in (True, "0.5") + (() if optional else (None,))
+    ])
+    def test_float_fields_reject_bools_and_non_numbers(self, field, make, value):
+        """A bool used to pass as 0 or 1, and a string or None to fail in a
+        comparison with a TypeError that named no field."""
+        with pytest.raises(ValueError, match="^%s: must be a number" % field):
+            make(value)
+
+    def test_float_fields_take_numpy_numbers_as_floats(self):
+        params = MarketParams(gamma=np.float32(0.5), beta=np.int64(2),
+                              sigmoid_center=np.float64(0.25), catalog_ads=np.float16(0.5),
+                              intro_ads=[np.float64(0.75), 1], tracked_intro_ad=np.float64(0.3),
+                              min_utility=np.int8(0))
+        spec = SweepSpec(small_config(), "beta", [np.float64(2.0), np.int64(3)], runs=1)
+        floats = (params.gamma, params.beta, params.sigmoid_center, params.catalog_ads,
+                  params.tracked_intro_ad, params.min_utility, TopologySpec(p=np.float64(0.1)).p)
+        assert all(type(v) is float for v in floats + params.intro_ads + spec.grid)
+        assert params.intro_ads == (0.75, 1.0) and spec.grid == (2.0, 3.0)
+
     def test_integer_fields_take_numpy_integers_as_ints(self):
         cfg = SimulationConfig(n_agents=np.int64(8), m_initial=np.int32(3),
                                rounds=np.int64(4), seed=np.uint64(2**64 - 1),
@@ -341,7 +373,7 @@ class TestCommitRound:
     )
     def test_matches_the_scalar_replay(self, seed, n, kind, k, p, mode):
         """step's events, committed with commit_round, equal the same events
-        applied one by one with apply_consumption on a copy."""
+        committed one by one by hand on a copy."""
         cfg = SimulationConfig(
             n_agents=n, m_initial=6, rounds=8,
             topology=TopologySpec(kind=kind, k=k, p=p),
@@ -360,7 +392,7 @@ class TestCommitRound:
             events = step(state)
             label = replay.round + 1
             for i, a in events.tolist():
-                replay.apply_consumption(i, a, label)
+                oracles.commit_by_hand(replay, i, a, label)
             replay.round = label
             assert state.round == label
             assert_same_commits(state, replay)
@@ -371,7 +403,7 @@ class TestCommitRound:
         agents, items = np.array([0, 3, 4, 8]), np.array([2, 0, 2, 1])
         state.commit_round(agents, items, 1)
         for i, a in zip(agents.tolist(), items.tolist()):
-            replay.apply_consumption(i, a, 1)
+            oracles.commit_by_hand(replay, i, a, 1)
         assert_same_commits(state, replay)
         state.commit_round(np.empty(0, np.int64), np.empty(0, np.int64), 2)
         assert_same_commits(state, replay)
@@ -530,7 +562,9 @@ class TestScoreTable:
         assert len(caps) >= 3
         assert state.scores.shape == state.liking.shape
 
-    def test_apply_consumption_then_step_scores_from_scratch(self):
+    def test_apply_consumption_then_step_keeps_the_cache_whole(self):
+        """apply_consumption commits through commit_round, so the cache
+        stays whole after each event and is never scored from scratch."""
         rng = rng_from(5)
         state = init_market(cache_config(5), rng)
         for _ in range(8):
@@ -540,7 +574,7 @@ class TestScoreTable:
             label = state.round + 1
             for i, a in zip(*open_pairs(state, 3)):
                 state.apply_consumption(int(i), int(a), label)
-                assert state._scored == 0
+                assert_cache_is_whole(state)
             state.round = label
 
     def test_direct_commit_then_step_follows_the_state(self):
