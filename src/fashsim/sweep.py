@@ -75,7 +75,7 @@ def _apply(base: SimulationConfig, parameter: str, value: float,
     if parameter == "n_agents":
         return replace(base, n_agents=int(value), seed=seed)
     field = "tracked_intro_ad" if parameter == "advertisement" else parameter
-    return replace(base, params=replace(base.params, **{field: float(value)}), seed=seed)
+    return replace(base, params=replace(base.params, **{field: value}), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     configs = [_apply(spec.base, spec.parameter, value, seed)
                for value, seed in zip(spec.grid, seeds)]
     ensembles = run_ensembles(configs, spec.runs, jobs=jobs)
-    points = tuple(SweepPoint(value=float(value), seed=seed, ensemble=ens)
+    points = tuple(SweepPoint(value=value, seed=seed, ensemble=ens)
                    for value, seed, ens in zip(spec.grid, seeds, ensembles))
     return SweepResult(spec=spec, points=points)
 
