@@ -1,6 +1,7 @@
 """Command line frontend.
 
-Subcommands: run, ensemble, sweep-adv, sweep-beta, optimize. Settings come
+Commands: run, ensemble, sweep-adv, sweep-beta, optimize, all from one
+parser whose flags may come before or after the command. Settings come
 from (lowest to highest precedence) built-in defaults, a flat key=value
 config file (--config; '#' starts a comment), and command line flags.
 --config also accepts a previously written manifest.json, which makes any
@@ -195,24 +196,21 @@ _KEYS = {
 }
 
 
-def _read_kv_file(path: str) -> Dict[str, object]:
-    """Parse a flat key=value file; '#' comments and blank lines ignored."""
+def _read_kv_file(path: str, text: str) -> Dict[str, object]:
+    """Parse a flat key=value file's text; '#' comments and blank lines ignored."""
     values: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    "%s:%d: expected key=value (got %r)" % (path, lineno, line.rstrip())
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _KEYS:
-                raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = value
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError("%s:%d: expected key=value (got %r)"
+                              % (path, lineno, line.rstrip()))
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        values[key] = value
     return values
 
 
@@ -220,11 +218,10 @@ def _read_config_file(path: str) -> Dict[str, object]:
     """Read either a flat key=value file or a manifest.json."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(64)
-        if not head.lstrip().startswith("{"):
-            return _read_kv_file(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        if not text.lstrip().startswith("{"):
+            return _read_kv_file(path, text)
+        doc = json.loads(text)
     except OSError as exc:
         raise ConfigError("config: cannot read %s (%s)" % (path, exc)) from None
     except UnicodeDecodeError as exc:
@@ -627,17 +624,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: flags may come before or after it."""
     parser = _Parser(prog="fashsim",
                      description="agent-based fashion market simulator")
     parser.add_argument("--version", action="version",
                         version="fashsim %s" % __version__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, _, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text, add_help=True)
-        cmd.add_argument("--config", help="key=value config file or manifest.json")
-        for key, (_, _, flag_help) in _KEYS.items():
-            if flag_help is not None:
-                cmd.add_argument("--" + key, help=flag_help)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="; ".join("%s: %s" % (name, help_text)
+                                       for name, (_, _, help_text) in _COMMANDS.items()))
+    parser.add_argument("--config", help="key=value config file or manifest.json")
+    for key, (_, _, flag_help) in _KEYS.items():
+        if flag_help is not None:
+            parser.add_argument("--" + key, help=flag_help)
     return parser
 
 
@@ -645,8 +643,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise ConfigError("missing command (try: fashsim run --help)")
         overrides = {k: v for k, v in vars(args).items() if k in _KEYS}
         settings = parse_config(args.config, overrides)
         env_out = os.environ.get("FASHSIM_OUT")

@@ -101,6 +101,10 @@ class SimulationConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name, cls in (("topology", TopologySpec), ("params", MarketParams)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError("%s: expected a %s (got %r)"
+                                 % (name, cls.__name__, getattr(self, name)))
         for name in ("n_agents", "m_initial", "rounds", "seed"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.n_agents < 2:

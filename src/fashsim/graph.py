@@ -43,6 +43,15 @@ def check_float(name: str, value) -> float:
     return float(value)
 
 
+def check_floats(name: str, values) -> Tuple[float, ...]:
+    """A sequence field's values as a tuple of Python floats, each checked
+    by check_float. A str, bytes or non-iterable value is a ValueError
+    naming the field."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise ValueError("%s: expected a sequence of numbers (got %r)" % (name, values))
+    return tuple(check_float(name, v) for v in values)
+
+
 class SocialGraph:
     """Immutable undirected graph in CSR form.
 

@@ -2,9 +2,10 @@
 
 The engine decides through the market's own score cache
 (model.MarketBatch.choose and commit_round). ``decide_round`` is the full
-recompute for one market, every cell from scratch with the IEEE-754
-operations of that cache in the same order. The engine does not call it;
-it is the reference the tests hold the cache to, bit for bit.
+recompute of ``choose``: every cell from scratch, with the IEEE-754
+operations of that cache in the same order and none of its state. The
+engine does not call it; it is the reference the tests hold the cache to,
+bit for bit.
 """
 
 import numpy as np
@@ -13,45 +14,29 @@ import numpy as np
 BACKEND: str = "python"
 
 
-def decide_round(
-    liking: np.ndarray,        # float64 (n, cap)
-    tolerance: np.ndarray,     # float64 (n,)
-    advertisement: np.ndarray, # float64 (cap,)
-    pen: np.ndarray,           # float64 (m,) per-item penalty this round
-    nbr_counts: np.ndarray,    # int32 (n, cap)
-    degrees: np.ndarray,       # int64 (n,)
-    consumed: np.ndarray,      # int32 (n, cap), 0 = not consumed
-    gamma: float,
-    blend_liking: bool,
-    n_items: int,
-    min_utility: float,
-    has_min: bool,
-    out: np.ndarray,           # int64 (n,)
-) -> None:
-    """Fill out[i] with agent i's chosen item id, or -1 for abstention.
-
-    Scores only the first n_items columns, from scratch. Ties go to the
-    lowest item id.
+def decide_round(market):
+    """What ``market.choose()`` returns, for a MarketState or a MarketBatch
+    of any run count: the agent rows that consume this round, ascending,
+    and each one's item. Ties go to the lowest item id; an agent abstains
+    when nothing is left for it or its best score is below min_utility.
     """
-    n = tolerance.shape[0]
-    m = n_items
-    deg = degrees[:, None]
-
-    pressure = np.zeros((n, m), dtype=np.float64)
-    np.divide(nbr_counts[:, :m], deg, out=pressure, where=deg > 0)
-
-    score = gamma * pressure
-    if blend_liking:
-        score += (1.0 - gamma) * liking[:, :m]
-    score += tolerance[:, None] * advertisement[None, :m]
-    score -= pen[None, :m]
-
-    taken = consumed[:, :m] != 0
-    score[taken] = -np.inf
-    choice = np.argmax(score, axis=1).astype(np.int64)  # first max = lowest id
-    open_slots = m - taken.sum(axis=1)
-    if has_min:
-        best = score[np.arange(n), choice]
-        choice[best < min_utility] = -1
-    choice[open_slots == 0] = -1
-    out[:] = choice
+    runs, n, m = market.runs, market.run_size, market.m
+    fashion = market.mode == "fashion"
+    gamma = np.repeat([q.gamma for q in market.run_params], n)[:, None]
+    deg = market.graph.degrees[:, None]
+    score = np.zeros((market.n_agents, m))
+    np.divide(market.nbr_counts[:, :m], deg, out=score, where=deg > 0)
+    score *= gamma
+    if not fashion or market.params.utility_social_blend == "liking":
+        score += (1.0 - gamma) * market.liking[:, :m]
+    if fashion:  # through a (runs, rows, items) view: each run's ads and penalties
+        by_run = score.reshape(runs, n, m)
+        by_run += (market.tolerance.reshape(runs, n, 1)
+                   * market.advertisement.reshape(runs, 1, -1)[..., :m])
+        by_run -= market.penalties().reshape(runs, 1, m)
+    score[market.consumed[:, :m] != 0] = -np.inf
+    choice = score.argmax(axis=1)  # first max = lowest id
+    best = score[np.arange(market.n_agents), choice]
+    floor = market.params.min_utility
+    agents = np.flatnonzero(best != -np.inf if floor is None else best >= floor)
+    return agents, choice[agents]

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import SocialGraph, check_float, check_int
+from .graph import SocialGraph, check_float, check_floats, check_int
 
 __all__ = [
     "MarketParams",
@@ -89,8 +89,7 @@ class MarketParams:
         for name in ("tracked_intro_ad", "min_utility"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_float(name, getattr(self, name)))
-        object.__setattr__(self, "intro_ads",
-                           tuple(check_float("intro_ads", a) for a in self.intro_ads))
+        object.__setattr__(self, "intro_ads", check_floats("intro_ads", self.intro_ads))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma: must be in [0, 1] (got %r)" % (self.gamma,))
         if not 0.0 < self.beta < math.inf:
@@ -189,11 +188,12 @@ class MarketBatch:
     scores them too, then re-scores the cells whose neighbour counts it
     raised, so it always leaves the cache whole. Both go through
     ``_score``, the one copy of the formula: every cell goes through the
-    same IEEE-754 operations in the same order as ``decide_round``, so the
-    choices are those of a full recompute, bit for bit, whichever runs
-    share the batch. Writes to the arrays other than ``commit_round``'s
-    are not followed. The market owns the cache and its scratch buffer,
-    so batches on different threads share no memory.
+    same IEEE-754 operations in the same order as ``decide_round``, so
+    ``choose`` returns what ``kernel.decide_round(market)``, the full
+    recompute, returns, bit for bit, whichever runs share the batch.
+    Writes to the arrays other than ``commit_round``'s are not followed.
+    The market owns the cache and its scratch buffer, so batches on
+    different threads share no memory.
 
     Each cell costs 24 bytes: liking and scores float64, consumed and
     nbr_counts int32 (an int32 count over a float64 degree is the same
@@ -257,7 +257,7 @@ class MarketBatch:
         if tolerance.shape != (rows,):
             raise ValueError("tolerance: expected shape (%d,)" % rows)
         if advertisement.shape not in ((m,), (runs, m)):
-            raise ValueError("advertisement: expected shape (%d,)" % m)
+            raise ValueError("advertisement: expected shape (%d,) or (%d, %d)" % (m, runs, m))
         # Each check asks for the values in range, not out of it: a NaN
         # min or max fails every comparison, so it is rejected too.
         if m and not (liking.min() >= 0.0 and liking.max() <= 1.0):

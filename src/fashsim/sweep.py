@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
-from .graph import check_float, check_int
+from .graph import check_floats, check_int
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -47,12 +47,14 @@ class SweepSpec:
     runs: int = 100
 
     def __post_init__(self):
+        if not isinstance(self.base, SimulationConfig):
+            raise ValueError("base: expected a SimulationConfig (got %r)" % (self.base,))
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(
                 "parameter: expected one of %s (got %r)"
                 % (", ".join(SWEEP_PARAMETERS), self.parameter)
             )
-        object.__setattr__(self, "grid", tuple(check_float("grid", v) for v in self.grid))
+        object.__setattr__(self, "grid", check_floats("grid", self.grid))
         if len(self.grid) == 0:
             raise ValueError("grid: need at least one value")
         object.__setattr__(self, "runs", check_int("runs", self.runs))

@@ -5,138 +5,152 @@ decide_round (see tests/test_engine.py::TestScoreTable); here decide_round itsel
 a scalar per-element recomputation of the same contract.
 """
 
+import copy
+
 import numpy as np
 
 from fashsim.graph import build_random
-from fashsim.kernel import decide_round as py_decide
+from fashsim.kernel import decide_round
+from fashsim.model import MarketParams, MarketState, penalty
 
 
 def rng_from(seed):
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def random_kernel_inputs(rng, n=None, m=None):
-    """A consistent bundle of raw kernel arrays with a real graph behind it."""
+def random_kernel_inputs(rng, n=None, m=None, **params):
+    """A fashion-mode MarketState in a mid-run state, on a real graph:
+    round labels in consumed, nbr_counts that agree with them, and random
+    counts behind the penalties. params go to MarketParams."""
     if n is None:
         n = int(rng.integers(2, 12))
     if m is None:
         m = int(rng.integers(1, 9))
     graph = build_random(n, float(rng.random()), rng)
-    liking = rng.random((n, m))
-    tolerance = 1.0 - rng.random(n)
-    ads = rng.random(m)
-    pen = rng.random(m) * 0.8
-    # The market's record: each consumption's 1-based round, 0 = not consumed.
+    state = MarketState(MarketParams(beta=float(rng.uniform(0.5, 20.0)), **params),
+                        graph, "fashion", liking=rng.random((n, m)),
+                        tolerance=1.0 - rng.random(n), advertisement=rng.random(m))
     taken = rng.random((n, m)) < 0.35
-    consumed = np.where(taken, rng.integers(1, 2**31, (n, m)), 0).astype(np.int32)
-    nbr_counts = np.zeros((n, m), dtype=np.int64)
+    state.consumed[:] = np.where(taken, rng.integers(1, 2**31, (n, m)), 0)
     for i in range(n):
-        nbrs = graph.neighbor_array(i)
-        if len(nbrs):
-            nbr_counts[i] = taken[nbrs, :].sum(axis=0)
-    return dict(
-        liking=liking, tolerance=tolerance, advertisement=ads, pen=pen,
-        nbr_counts=nbr_counts, degrees=graph.degrees.copy(), consumed=consumed,
-        n=n, m=m,
-    )
+        state.nbr_counts[i] = taken[graph.neighbor_array(i)].sum(axis=0)
+    state.counts[:] = rng.integers(0, n + 1, m)
+    return state
 
 
-def call(decide, arrs, gamma, blend_liking, min_utility=0.0, has_min=False):
-    out = np.empty(arrs["n"], dtype=np.int64)
-    decide(
-        arrs["liking"], arrs["tolerance"], arrs["advertisement"], arrs["pen"],
-        arrs["nbr_counts"], arrs["degrees"], arrs["consumed"],
-        gamma, blend_liking, arrs["m"], min_utility, has_min, out,
-    )
+def choices(state):
+    """decide_round's pairs as one item per agent, -1 = abstain."""
+    out = np.full(state.n_agents, -1)
+    agents, items = decide_round(state)
+    out[agents] = items
     return out
 
 
-def scalar_reference(arrs, gamma, blend_liking, min_utility, has_min):
+def scalar_score(state, i, a):
+    """Agent i's score for item a, one scalar operation at a time."""
+    p, deg = state.params, int(state.graph.degrees[i])
+    s = int(state.nbr_counts[i, a]) / deg if deg > 0 else 0.0
+    score = p.gamma * s
+    if p.utility_social_blend == "liking":
+        score += (1.0 - p.gamma) * float(state.liking[i, a])
+    ad = float(state.advertisement[a])
+    score += float(state.tolerance[i]) * ad
+    return score - penalty(int(state.counts[a]) / state.n_agents, ad, p.beta, p.sigmoid_center)
+
+
+def scalar_reference(state):
     """Slow per-element recomputation of the kernel contract."""
-    n, m = arrs["n"], arrs["m"]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
+    floor = state.params.min_utility
+    out = np.empty(state.n_agents, dtype=np.int64)
+    for i in range(state.n_agents):
         best, best_score = -1, None
-        for a in range(m):
-            if arrs["consumed"][i, a]:
+        for a in range(state.m):
+            if state.consumed[i, a]:
                 continue
-            deg = int(arrs["degrees"][i])
-            s = (arrs["nbr_counts"][i, a] / deg) if deg > 0 else 0.0
-            score = gamma * s
-            if blend_liking:
-                score += (1.0 - gamma) * arrs["liking"][i, a]
-            score += arrs["tolerance"][i] * arrs["advertisement"][a]
-            score -= arrs["pen"][a]
+            score = scalar_score(state, i, a)
             if best_score is None or score > best_score:
                 best, best_score = a, score
-        if best >= 0 and has_min and best_score < min_utility:
+        if best >= 0 and floor is not None and best_score < floor:
             best = -1
         out[i] = best
     return out
 
 
-class TestFallbackKernel:
+def relabeled(state, perm):
+    """A copy of state with item perm[j] moved to column j."""
+    out = copy.deepcopy(state)
+    for name in ("liking", "nbr_counts", "consumed"):
+        getattr(out, name)[:] = getattr(state, name)[:, perm]
+    for name in ("advertisement", "counts"):
+        getattr(out, name)[:] = getattr(state, name)[perm]
+    return out
+
+
+class TestDecideRound:
     def test_matches_the_scalar_reference(self):
         rng = rng_from(71)
         for _ in range(60):
-            arrs = random_kernel_inputs(rng)
             gamma = float(rng.random())
-            blend = bool(rng.random() < 0.5)
-            has_min = bool(rng.random() < 0.3)
-            floor = float(rng.uniform(-0.5, 0.8))
-            got = call(py_decide, arrs, gamma, blend, floor, has_min)
-            want = scalar_reference(arrs, gamma, blend, floor, has_min)
-            assert np.array_equal(got, want)
+            blend = "liking" if rng.random() < 0.5 else "literal_consumption"
+            floor = float(rng.uniform(-0.5, 0.8)) if rng.random() < 0.3 else None
+            state = random_kernel_inputs(rng, gamma=gamma, utility_social_blend=blend,
+                                         min_utility=floor)
+            assert np.array_equal(choices(state), scalar_reference(state))
 
     def test_never_chooses_a_consumed_item(self):
         rng = rng_from(72)
         for _ in range(40):
-            arrs = random_kernel_inputs(rng)
-            out = call(py_decide, arrs, float(rng.random()), True)
-            for i, a in enumerate(out.tolist()):
+            state = random_kernel_inputs(rng, gamma=float(rng.random()))
+            for i, a in enumerate(choices(state).tolist()):
                 if a >= 0:
-                    assert arrs["consumed"][i, a] == 0
+                    assert state.consumed[i, a] == 0
                 else:
-                    assert np.all(arrs["consumed"][i] != 0)
+                    assert np.all(state.consumed[i] != 0)
 
     def test_structural_ties_break_to_the_lowest_id(self):
         rng = rng_from(73)
         for _ in range(30):
-            arrs = random_kernel_inputs(rng, n=6, m=5)
+            state = random_kernel_inputs(rng, n=6, m=5, gamma=0.4)
             for key in ("liking", "consumed", "nbr_counts"):
-                arrs[key][:, 3] = arrs[key][:, 1]
-            arrs["advertisement"][3] = arrs["advertisement"][1]
-            arrs["pen"][3] = arrs["pen"][1]
-            out = call(py_decide, arrs, 0.4, True)
+                getattr(state, key)[:, 3] = getattr(state, key)[:, 1]
+            for key in ("advertisement", "counts"):
+                getattr(state, key)[3] = getattr(state, key)[1]
             # column 3 is a clone of column 1, so it can never win the argmax
-            assert 3 not in out.tolist()
+            assert 3 not in choices(state).tolist()
 
     def test_relabeling_items_relabels_choices(self):
         rng = rng_from(74)
         for _ in range(40):
-            arrs = random_kernel_inputs(rng)
-            gamma = float(rng.random())
-            base = call(py_decide, arrs, gamma, True)
-            perm = rng.permutation(arrs["m"])
+            state = random_kernel_inputs(rng, gamma=float(rng.random()))
+            base = choices(state)
+            perm = rng.permutation(state.m)
             inv = np.argsort(perm)
-            shuffled = dict(
-                arrs,
-                liking=np.ascontiguousarray(arrs["liking"][:, perm]),
-                advertisement=np.ascontiguousarray(arrs["advertisement"][perm]),
-                pen=np.ascontiguousarray(arrs["pen"][perm]),
-                nbr_counts=np.ascontiguousarray(arrs["nbr_counts"][:, perm]),
-                consumed=np.ascontiguousarray(arrs["consumed"][:, perm]),
-            )
-            got = call(py_decide, shuffled, gamma, True)
+            got = choices(relabeled(state, perm))
             want = np.where(base >= 0, inv[base], -1)
             assert np.array_equal(got, want)
 
     def test_full_abstention_cases(self):
         rng = rng_from(75)
-        arrs = random_kernel_inputs(rng, n=4, m=3)
-        arrs["consumed"][:] = 1
-        out = call(py_decide, arrs, 0.5, True)
-        assert np.all(out == -1)
-        arrs["consumed"][:] = 0
-        out = call(py_decide, arrs, 0.5, True, min_utility=99.0, has_min=True)
-        assert np.all(out == -1)
+        state = random_kernel_inputs(rng, n=4, m=3, gamma=0.5)
+        state.consumed[:] = 1
+        assert np.all(choices(state) == -1)
+        state = random_kernel_inputs(rng, n=4, m=3, gamma=0.5, min_utility=99.0)
+        state.consumed[:] = 0
+        assert np.all(choices(state) == -1)
+
+    def test_a_best_score_on_the_floor_is_kept(self):
+        """An agent whose best score equals min_utility consumes; one ulp
+        higher, it abstains. The cache's choose agrees at both floors."""
+        for seed in range(76, 96):
+            state = random_kernel_inputs(rng_from(seed), gamma=0.5)
+            want = scalar_reference(state)
+            assert (want >= 0).any()
+            i = int(np.argmax(want >= 0))
+            floor = scalar_score(state, i, want[i])
+            for at, keep in ((floor, True), (np.nextafter(floor, np.inf), False)):
+                state = random_kernel_inputs(rng_from(seed), gamma=0.5, min_utility=at)
+                agents, items = decide_round(state)
+                assert (i in agents.tolist()) == keep
+                got = state.choose()
+                assert got[0].tolist() == agents.tolist()
+                assert got[1].tolist() == items.tolist()

@@ -1,7 +1,6 @@
 """CLI tests: config resolution, output files, byte-level reproducibility,
 manifest round-trips, and exit codes. Everything runs main() in-process."""
 
-import argparse
 import hashlib
 import json
 import os
@@ -776,14 +775,23 @@ class TestKeyTable:
         # out and the grid are resolved per command; ensemble uses no grid.
         assert back == replace(want, out=str(out), grid=None)
 
-    def test_each_command_has_the_same_flags(self):
-        sub = next(a for a in _build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == {"run", "ensemble", "sweep-adv",
-                                    "sweep-beta", "optimize"}
-        for cmd in sub.choices.values():
-            got = {opt for a in cmd._actions for opt in a.option_strings}
-            assert got == FLAGS | {"-h", "--help"}
+    def test_one_parser_takes_the_flags_before_or_after_the_command(self, tmp_path):
+        parser = _build_parser()
+        got = {opt for a in parser._actions for opt in a.option_strings}
+        assert got == FLAGS | {"-h", "--help", "--version"}
+        command = next(a for a in parser._actions if a.dest == "command")
+        assert list(command.choices) == ["run", "ensemble", "sweep-adv",
+                                         "sweep-beta", "optimize"]
+        after = parser.parse_args(["sweep-beta", "--agents", "8", "--grid", "2,3"])
+        before = parser.parse_args(["--agents", "8", "sweep-beta", "--grid", "2,3"])
+        assert vars(before) == vars(after)
+        assert after.command == "sweep-beta" and after.agents == "8"
+        outs = [tmp_path / "after", tmp_path / "before"]
+        assert main(["run", "--agents", "8", "--items", "3", "--rounds", "4",
+                     "--out", str(outs[0])]) == 0
+        assert main(["--agents", "8", "--items", "3", "--rounds", "4",
+                     "--out", str(outs[1]), "run"]) == 0
+        assert read(outs[0] / "trace.csv") == read(outs[1] / "trace.csv")
 
     def test_readme_lists_every_key(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -791,6 +799,9 @@ class TestKeyTable:
             text = fh.read()
         block = text.split("Accepted keys", 1)[1].split("```")[1]
         assert block.split() == list(_KEYS)
+        sentence = text.split("These keys also have a flag", 1)[1].split(". ", 1)[0]
+        flagged = [key for key, (_, _, flag_help) in _KEYS.items() if flag_help is not None]
+        assert sentence.split(":", 1)[1].replace("`", "").replace(",", " ").split() == flagged
 
 
 class TestOutputResolution:

@@ -150,6 +150,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^%s: must be an integer" % field):
             make(value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SimulationConfig(params={"gamma": 0.5}),
+         "params: expected a MarketParams (got {'gamma': 0.5})"),
+        (lambda: SimulationConfig(topology="ring"), "topology: expected a TopologySpec"),
+        (lambda: SweepSpec("x", "beta", (1.0,)), "base: expected a SimulationConfig"),
+        (lambda: MarketParams(intro_ads=0.7),
+         "intro_ads: expected a sequence of numbers (got 0.7)"),
+        (lambda: MarketParams(intro_ads=None), "intro_ads: expected a sequence of numbers"),
+        (lambda: MarketParams(intro_ads="0.7"),
+         "intro_ads: expected a sequence of numbers (got '0.7')"),
+        (lambda: SweepSpec(small_config(), "beta", 2.0), "grid: expected a sequence"),
+        (lambda: SweepSpec(small_config(), "beta", b"2"), "grid: expected a sequence"),
+        (lambda: MarketBatch([MarketParams()] * 2, [build_ring(4, 2)] * 2, "fashion",
+                             np.zeros((8, 3)), np.ones(8), np.zeros((3, 3))),
+         "advertisement: expected shape (3,) or (2, 3)"),
+    ])
+    def test_wrong_typed_fields_are_value_errors_naming_the_field(self, make, message):
+        """Each used to be accepted and fail deep in a run with an
+        AttributeError, or to raise a TypeError or a message that named
+        the wrong value or shape."""
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value).startswith(message)
+
     @pytest.mark.parametrize("field, make, value", [
         pytest.param(field, make, value, id="%s-%r" % (field, value))
         for field, make, optional in [
@@ -177,10 +201,11 @@ class TestConfigValidation:
                               intro_ads=[np.float64(0.75), 1], tracked_intro_ad=np.float64(0.3),
                               min_utility=np.int8(0))
         spec = SweepSpec(small_config(), "beta", [np.float64(2.0), np.int64(3)], runs=1)
+        array_grid = SweepSpec(small_config(), "beta", np.array([2.0, 3.0]), runs=1).grid
         floats = (params.gamma, params.beta, params.sigmoid_center, params.catalog_ads,
                   params.tracked_intro_ad, params.min_utility, TopologySpec(p=np.float64(0.1)).p)
-        assert all(type(v) is float for v in floats + params.intro_ads + spec.grid)
-        assert params.intro_ads == (0.75, 1.0) and spec.grid == (2.0, 3.0)
+        assert all(type(v) is float for v in floats + params.intro_ads + spec.grid + array_grid)
+        assert params.intro_ads == (0.75, 1.0) and spec.grid == array_grid == (2.0, 3.0)
 
     def test_integer_fields_take_numpy_integers_as_ints(self):
         cfg = SimulationConfig(n_agents=np.int64(8), m_initial=np.int32(3),
@@ -436,23 +461,6 @@ class TestCommitRound:
         assert not state.consumed.any()
 
 
-def reference_choices(state):
-    """Every agent's choice for the coming round from kernel.decide_round,
-    the full recompute (-1 = abstain)."""
-    p = state.params
-    fashion = state.mode == "fashion"
-    ads = state.advertisement if fashion else np.zeros_like(state.advertisement)
-    has_min = p.min_utility is not None
-    out = np.empty(state.n_agents, dtype=np.int64)
-    kernel.decide_round(
-        state.liking, state.tolerance, ads, state.penalties(),
-        state.nbr_counts, state.graph.degrees, state.consumed,
-        p.gamma, not fashion or p.utility_social_blend == "liking", state.m,
-        float(p.min_utility) if has_min else 0.0, has_min, out,
-    )
-    return out
-
-
 def rescored(state):
     """A copy of state whose score cache is rebuilt from scratch."""
     fresh = copy.deepcopy(state)
@@ -473,10 +481,9 @@ def assert_cache_is_whole(state):
 def step_against_the_reference(state):
     """step(state) once; assert its events are decide_round's choices and
     the score cache equals one rebuilt from the new state."""
-    want = reference_choices(state)
+    want = np.column_stack(kernel.decide_round(state)).tolist()
     events = step(state)
-    agents = np.flatnonzero(want >= 0)
-    assert events.tolist() == np.column_stack((agents, want[agents])).tolist()
+    assert events.tolist() == want
     assert_cache_is_whole(state)
     return events
 
@@ -604,26 +611,6 @@ class TestScoreTable:
             state.round += 1
 
 
-def batch_reference_choices(batch):
-    """reference_choices of a batch: each run's rows held to
-    kernel.decide_round with that run's gamma, penalties and ads."""
-    n, pen = batch.run_size, batch.penalties().reshape(batch.runs, -1)
-    ads = batch.advertisement.reshape(batch.runs, -1)
-    fashion = batch.mode == "fashion"
-    floor = batch.params.min_utility
-    out = np.empty(batch.n_agents, dtype=np.int64)
-    for b, q in enumerate(batch.run_params):
-        rows = slice(b * n, (b + 1) * n)
-        kernel.decide_round(
-            batch.liking[rows], batch.tolerance[rows],
-            ads[b] if fashion else np.zeros_like(ads[b]), pen[b],
-            batch.nbr_counts[rows], batch.graph.degrees[rows], batch.consumed[rows],
-            q.gamma, not fashion or q.utility_social_blend == "liking", batch.m,
-            0.0 if floor is None else float(floor), floor is not None, out[rows],
-        )
-    return out
-
-
 class TestBlockedKernel:
     """choose and _score_columns walk the agent rows in blocks of at most
     model.BLOCK_CELLS cells through one buffer; any budget gives the full
@@ -679,10 +666,10 @@ class TestBlockedKernel:
         for _ in range(base.rounds):
             if batch.round > 0 and batch.round % 2 == 0:
                 introduce_items(batch, rngs)
-            want = batch_reference_choices(batch)
+            want_agents, want_items = kernel.decide_round(batch)
             agents, items = batch.choose()
-            assert agents.tolist() == np.flatnonzero(want >= 0).tolist()
-            assert items.tolist() == want[agents].tolist()
+            assert agents.tolist() == want_agents.tolist()
+            assert items.tolist() == want_items.tolist()
             batch.commit_round(agents, items, batch.round + 1)
             batch.round += 1
             assert_cache_is_whole(batch)

@@ -101,3 +101,29 @@ def test_the_check_sees_an_unread_private_name():
     }
     assert unread_private_names(sources) == [
         ("a", 2, "_UNUSED"), ("a", 3, "_walk"), ("a", 7, "_Old")]
+
+
+# The market's score cache and the methods that fill or read it.
+CACHE_NAMES = {"scores", "_scored", "_score", "_score_columns", "_rescore", "_blocks",
+               "_scratch", "_denom", "_gamma", "choose", "commit_round"}
+
+
+def cache_reads(source: str, function: str):
+    """The cache names the module's top-level function reads, as an
+    attribute or a bare name, sorted."""
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return sorted(_reads(node) & CACHE_NAMES)
+
+
+def test_decide_round_reads_nothing_of_the_cache():
+    """decide_round is the reference the cache is held to, so it
+    recomputes every score from the market's state alone."""
+    source = (PACKAGE / "kernel.py").read_text(encoding="utf-8")
+    assert cache_reads(source, "decide_round") == []
+
+
+def test_the_check_sees_a_cache_read():
+    source = ("def decide_round(market):\n    market._score_columns()\n"
+              "    return market.scores, choose\n")
+    assert cache_reads(source, "decide_round") == ["_score_columns", "choose", "scores"]
