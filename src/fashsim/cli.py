@@ -382,11 +382,32 @@ def _write_csv(path: str, header: Sequence[str], chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
+class _Columns:
+    """A per-item summary block by columns: it stands for {id: {field:
+    value}} given values {field: array} (no '%' in a field), or {id: value}
+    given one array. ids are the item ids as str in sorted() order ("10"
+    before "2", as sort_keys has them), columns one value list per sorted
+    field; plain: all are finite ints or floats, which '%r' spells as json."""
+
+    def __init__(self, item_ids, values):
+        keys = [str(a) for a in np.asarray(item_ids).tolist()]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.ids = [keys[i] for i in order]
+        self.fields = sorted(values) if isinstance(values, dict) else None
+        arrays = [values[f] for f in self.fields] if self.fields else [values]
+        self.plain = all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in arrays)
+        self.columns = [a[order].tolist() for a in arrays]
+
+    def as_dict(self) -> Dict:
+        return {k: row[0] if self.fields is None else dict(zip(self.fields, row))
+                for k, row in zip(self.ids, zip(*self.columns))}
+
+
 def _json_text(obj, indent: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) spells it, at the
     nesting whose line break and indentation is indent. Raises TypeError on
-    anything but str-keyed dicts, lists, tuples and JSON scalars (a non-str
-    key fails in encode_basestring_ascii)."""
+    anything but str-keyed dicts, lists, tuples, _Columns and JSON scalars
+    (a non-str key fails in encode_basestring_ascii)."""
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float.__repr__(obj)
@@ -413,6 +434,13 @@ def _json_text(obj, indent: str) -> str:
         items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, _Columns):
+        if not (obj.plain and obj.ids):
+            return _json_text(obj.as_dict(), indent)
+        item = "%s: %r" if obj.fields is None else "%%s: {%s%s}" % (",".join(
+            inner + "  " + encode_basestring_ascii(f) + ": %r" for f in obj.fields), inner)
+        items = [item % r for r in zip(map(encode_basestring_ascii, obj.ids), *obj.columns)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(type(obj).__name__)
 
 
@@ -420,14 +448,16 @@ def _json_dumps(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), the same text.
 
     With indent set, json runs its pure-Python encoder; this writes each
-    container in one join instead. Any payload it does not cover (non-str
-    keys, other types, cycles) goes to json.dumps itself, so that output
-    and errors stay json's.
+    container in one join, and a plain _Columns block (the dict it stands
+    for) through one '%' template per item. Any payload it does not cover
+    (non-str keys, other types, cycles) goes to json.dumps itself, so that
+    output and errors stay json's.
     """
     try:
         return _json_text(payload, "\n")
     except (TypeError, RecursionError):
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, default=lambda o: (
+            o.as_dict() if isinstance(o, _Columns) else json.JSONEncoder().default(o)))
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -435,8 +465,8 @@ def _write_json(path: str, payload: Dict) -> None:
         fh.write(_json_dumps(payload) + "\n")
 
 
-def _peak_block(obj) -> Dict[str, Dict[str, object]]:
-    """Per-item share and rate peaks, computed over the whole (R, M) table.
+def _peak_block(obj) -> _Columns:
+    """Per-item share and rate peaks over the whole (R, M) table, as columns.
 
     Gives what share_series, rate_series and peak_stats give item by item
     (the scalar reference): an item's series covers its live rounds (those
@@ -461,25 +491,10 @@ def _peak_block(obj) -> Dict[str, Dict[str, object]]:
     share_idx = np.where(live, shares, -np.inf).argmax(axis=0)
     rate_idx = np.where(live, rates, -np.inf).argmax(axis=0)
     at = np.arange(len(cols))
-    return {
-        str(a): {
-            "peak_share": ps,
-            "peak_share_round": psr,
-            "final_share": fs,
-            "peak_rate": pr,
-            "peak_rate_round": prr,
-        }
-        for a, ps, psr, fs, pr, prr in zip(
-            np.asarray(obj.item_ids)[cols].tolist(),
-            shares[share_idx, at].tolist(), rounds[share_idx].tolist(),
-            values[-1].tolist(),
-            rates[rate_idx, at].tolist(), rounds[rate_idx].tolist())
-    }
-
-
-def _final_share_map(item_ids, finals) -> Dict[str, float]:
-    return dict(zip(map(str, np.asarray(item_ids).tolist()),
-                    np.asarray(finals, dtype=np.float64).tolist()))
+    return _Columns(np.asarray(obj.item_ids)[cols], {
+        "peak_share": shares[share_idx, at], "peak_share_round": rounds[share_idx],
+        "final_share": values[-1],
+        "peak_rate": rates[rate_idx, at], "peak_rate_round": rounds[rate_idx]})
 
 
 def _safe_gini(finals) -> Optional[float]:
@@ -496,7 +511,7 @@ def _trace_summary(trace: Trace) -> Dict:
         corr = None
     return {
         "runs": 1,
-        "final_shares": _final_share_map(trace.item_ids, trace.final_shares),
+        "final_shares": _Columns(trace.item_ids, trace.final_shares),
         "gini": _safe_gini(trace.final_shares),
         "quality_share_correlation": corr,
         "peak_stats": _peak_block(trace),
@@ -514,7 +529,7 @@ def _ensemble_summary(ens: EnsembleResult) -> Dict:
     corr_std = float(np.std(corrs)) if corrs else None
     return {
         "runs": ens.runs,
-        "final_shares": _final_share_map(ens.item_ids, ens.mean_final_share),
+        "final_shares": _Columns(ens.item_ids, ens.mean_final_share),
         "gini": _safe_gini(ens.mean_final_share),
         "quality_share_correlation": corr_mean,
         "quality_share_correlation_std": corr_std,

@@ -412,12 +412,13 @@ def _batch_key(config: SimulationConfig) -> SimulationConfig:
 def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
     """Cut the work list of (point, run, config), in order, into batches
     of equal _batch_key holding at most BATCH_CELLS cells (a larger run is
-    a batch alone)."""
-    batch, key, cells = [], None, 0
+    a batch alone). The runs of one point differ only in seed, so the key
+    and size are worked out once per point."""
+    batch, key, cells, point = [], None, 0, None
     for w in work:
-        config = w[2]
-        size = config.n_agents * _final_item_count(config)
-        k = _batch_key(config)
+        if w[0] != point:
+            point, config = w[0], w[2]
+            k, size = _batch_key(config), config.n_agents * _final_item_count(config)
         if batch and (k != key or cells + size > BATCH_CELLS):
             yield batch
             batch, cells = [], 0

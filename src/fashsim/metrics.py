@@ -6,8 +6,9 @@ consumption rate (first difference of the share series) can, and the peak
 helpers here are meant to be pointed at rate series for that question.
 
 The CLI's summary computes every item's peaks at once over the whole
-(rounds, items) table (cli._peak_block); share_series, rate_series and
-peak_stats are the scalar reference it is tested against.
+(rounds, items) table, as one column per field (cli._peak_block);
+share_series, rate_series and peak_stats are the scalar reference that
+its written text is tested against.
 """
 
 from dataclasses import dataclass

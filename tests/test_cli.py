@@ -3,6 +3,7 @@ manifest round-trips, and exit codes. Everything runs main() in-process."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from fashsim.cli import (
     ConfigError,
     RunSettings,
     _build_parser,
+    _Columns,
     _json_dumps,
     _peak_block,
     _trace_text,
@@ -479,12 +481,12 @@ class TestColumnwiseWriters:
         cfg = SimulationConfig(n_agents=12, m_initial=6, rounds=8, seed=4)
         results = [run(cfg), run_ensemble(cfg, 3), *edge_case_results()]
         for obj in results:
-            got, want = _peak_block(obj), peak_block_reference(obj)
-            assert list(got) == list(want)
-            assert json.dumps(got) == json.dumps(want)
+            block = _peak_block(obj)
+            assert block.plain  # written through the per-item template
+            assert _json_dumps(block) == reference_dumps(peak_block_reference(obj))
         assert len(results[0].item_ids) > 6  # introductions happened
         trace = edge_case_results()[0]
-        block = _peak_block(trace)
+        block = json.loads(_json_dumps(_peak_block(trace)))
         assert sorted(block) == ["0", "1", "2", "6", "8"]
         assert block["0"]["peak_share_round"] == 1 and block["0"]["peak_rate_round"] == 1
         assert block["1"]["peak_rate_round"] == 3
@@ -676,6 +678,52 @@ def json_values(depth, leaves=JSON_SCALARS):
                      st.dictionaries(JSON_KEYS, inner, max_size=4))
 
 
+FINITE_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 1e16]))
+ANY_CELLS = st.one_of(FINITE_CELLS, st.sampled_from([float("nan"), float("inf"),
+                                                     float("-inf")]))
+
+
+@st.composite
+def column_blocks(draw):
+    """A _Columns block and the dict it stands for, built from the same
+    drawn values: named fields (unsorted) or bare values, possibly empty,
+    with ids from 0..30 (so "10" sorts before "2"), float columns or int
+    round columns, and in about a quarter of the blocks NaN and infinities,
+    which take the per-value path."""
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    fields = draw(st.none() | st.lists(st.text("abcdef_", min_size=1, max_size=5),
+                                       unique=True, min_size=1, max_size=4))
+    floats = ANY_CELLS if draw(st.integers(0, 3)) == 0 else FINITE_CELLS
+    columns, arrays = [], []
+    for _ in fields or [None]:
+        rounds = draw(st.booleans())
+        column = draw(st.lists(st.integers(1, 2**31) if rounds else floats,
+                               min_size=len(ids), max_size=len(ids)))
+        columns.append(column)
+        arrays.append(np.array(column, dtype=np.int64 if rounds else np.float64))
+    rows = list(zip(*columns))
+    if fields is None:
+        return (_Columns(np.array(ids, dtype=np.int64), arrays[0]),
+                {str(a): row[0] for a, row in zip(ids, rows)})
+    return (_Columns(np.array(ids, dtype=np.int64), dict(zip(fields, arrays))),
+            {str(a): dict(zip(fields, row)) for a, row in zip(ids, rows)})
+
+
+@st.composite
+def column_payloads(draw):
+    """A summary-like payload holding column blocks at two depths, and the
+    same payload with each block as its dict; sometimes with a value only
+    json.dumps takes ({1: 0}) or rejects (a set)."""
+    top, points = draw(column_blocks()), draw(st.lists(column_blocks(), max_size=3))
+    misfit = draw(st.sampled_from([None, {1: 0}, {2, 3}]))
+
+    def payload(side):
+        return {"final_shares": top[side], "misfit": misfit,
+                "points": [{"peak_stats": point[side], "value": 0.5} for point in points]}
+    return payload(0), payload(1)
+
+
 def json_outcome(dumps, payload):
     try:
         return dumps(payload)
@@ -697,6 +745,20 @@ class TestJsonWriter:
     @given(payload=json_values(3, st.one_of(JSON_SCALARS, JSON_MISFITS)))
     def test_falls_back_to_json_dumps(self, payload):
         assert json_outcome(_json_dumps, payload) == json_outcome(reference_dumps, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads=column_payloads())
+    def test_column_blocks_are_spelled_as_their_dicts(self, payloads):
+        columns, dicts = payloads
+        assert json_outcome(_json_dumps, columns) == json_outcome(reference_dumps, dicts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=column_blocks())
+    def test_a_block_is_plain_when_every_value_is_finite(self, drawn):
+        block, as_dict = drawn
+        values = [v for row in as_dict.values()
+                  for v in (row.values() if isinstance(row, dict) else [row])]
+        assert block.plain == all(math.isfinite(v) for v in values)
 
     def test_rejections_are_jsons(self):
         loop = []

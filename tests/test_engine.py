@@ -1257,6 +1257,16 @@ class TestBatches:
         assert all(a is getattr(state, name) for a, name in zip(arrays, names))
         assert state.counts.sum() > 0
 
+    def test_a_lone_run_keeps_its_graph(self):
+        """A market of one run holds the graph it was given, not a copy of
+        it beside the builder's; a batch of two holds their union."""
+        g = build_ring(6, 2)
+        state = MarketState(small_config().params, g, "fashion", np.full((6, 4), 0.5),
+                            np.ones(6), np.zeros(4))
+        assert state.graph is g
+        batch = batch_of([state, init_market(small_config())])
+        assert batch.graph.n == 12 and batch.graph is not g
+
     def test_the_constructor_rejects_runs_of_another_shape(self):
         a, b = init_market(small_config(seed=1)), init_market(small_config(seed=2))
         m = a.m
