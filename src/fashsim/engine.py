@@ -412,8 +412,9 @@ def _batch_key(config: SimulationConfig) -> SimulationConfig:
 def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
     """Cut the work list of (point, run, config), in order, into batches
     of equal _batch_key holding at most BATCH_CELLS cells (a larger run is
-    a batch alone). The runs of one point differ only in seed, so the key
-    and size are worked out once per point."""
+    a batch alone). The key and size are worked out from the first run of
+    each point, so the configs that share a point index must differ at
+    most in seed (as run_ensembles' do) or in fields the key leaves out."""
     batch, key, cells, point = [], None, 0, None
     for w in work:
         if w[0] != point:
@@ -469,6 +470,7 @@ def run_ensembles(configs: Sequence[SimulationConfig], runs: int,
         raise ValueError("runs: need at least 1 (got %d)" % runs)
     if jobs < 1:
         raise ValueError("jobs: need at least 1 (got %d)" % jobs)
+    # A point's runs differ only in seed: _batches keys each point once.
     work = [(p, i, replace(c, seed=derive_seed(c.seed, i)))
             for p, c in enumerate(configs) for i in range(runs)]
     batches = list(_batches(work))

@@ -159,12 +159,11 @@ class MarketBatch:
 
     Run b owns agent rows b * run_size to (b + 1) * run_size - 1 of every
     per-agent array (liking, tolerance, consumed, nbr_counts), and
-    ``graph`` is the disjoint union of the runs' graphs (a lone run's graph
-    itself), so no edge joins two runs. ``counts`` and ``advertisement``
-    are (runs, capacity); ``intro_rounds``, ``m`` and ``round`` are
-    shared. ``run_params[b]`` is run b's MarketParams: the runs differ at
-    most in gamma, beta and tracked_intro_ad (see shared_params), and
-    ``params`` is run 0's.
+    ``graph`` is the disjoint union of the runs' graphs, so no edge joins
+    two runs. ``counts`` and ``advertisement`` are (runs, capacity);
+    ``intro_rounds``, ``m`` and ``round`` are shared. ``run_params[b]`` is
+    run b's MarketParams: the runs differ at most in gamma, beta and
+    tracked_intro_ad (see shared_params), and ``params`` is run 0's.
 
     ``consumed[i, a]`` is the 1-based round in which agent row i consumed
     item a, or 0 if it has not. Arrays are sized to a capacity that may
@@ -273,15 +272,12 @@ class MarketBatch:
         self.run_params = tuple(run_params)
         self.runs, self.run_size = runs, n
         # Disjoint union: run b's offsets continue where run b - 1's edges
-        # end, and its targets move to its block of rows. A lone run keeps
-        # its graph, so the builder's copy is not held twice.
-        self.graph = graphs[0]
-        if runs > 1:
-            starts = np.cumsum([0] + [len(g.targets) for g in graphs])
-            offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
-            targets = [g.targets + b * n for b, g in enumerate(graphs)]
-            self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
-                                     np.concatenate(targets))
+        # end, and its targets move to its block of rows.
+        starts = np.cumsum([0] + [len(g.targets) for g in graphs])
+        offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
+        targets = [g.targets + b * n for b, g in enumerate(graphs)]
+        self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
+                                 np.concatenate(targets))
         self.mode = mode
         self.round = 0
         self.m = m

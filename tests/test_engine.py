@@ -728,7 +728,7 @@ class TestBlockedKernel:
         configs = [replace(base, seed=derive_seed(11, i), params=replace(
             base.params, tracked_intro_ad=(i % 11) / 10)) for i in range(48)]
         cells = sum(c.n_agents * engine._final_item_count(c) for c in configs)
-        work = [(0, i, c) for i, c in enumerate(configs)]
+        work = [(p, 0, c) for p, c in enumerate(configs)]
         assert [len(b) for b in engine._batches(work)] == [len(configs)]
         tracemalloc.start()
         try:
@@ -1256,16 +1256,6 @@ class TestBatches:
         step(state)
         assert all(a is getattr(state, name) for a, name in zip(arrays, names))
         assert state.counts.sum() > 0
-
-    def test_a_lone_run_keeps_its_graph(self):
-        """A market of one run holds the graph it was given, not a copy of
-        it beside the builder's; a batch of two holds their union."""
-        g = build_ring(6, 2)
-        state = MarketState(small_config().params, g, "fashion", np.full((6, 4), 0.5),
-                            np.ones(6), np.zeros(4))
-        assert state.graph is g
-        batch = batch_of([state, init_market(small_config())])
-        assert batch.graph.n == 12 and batch.graph is not g
 
     def test_the_constructor_rejects_runs_of_another_shape(self):
         a, b = init_market(small_config(seed=1)), init_market(small_config(seed=2))
