@@ -50,9 +50,9 @@ from .engine import (
     run,
     run_ensemble,
 )
-from .graph import TopologySpec
+from .graph import TopologySpec, check_choice, check_int
 from .metrics import gini, quality_share_correlation
-from .model import BLENDS, MODES, NEW_ITEM_LIKINGS, MarketParams
+from .model import MarketParams
 from .sweep import (
     OBJECTIVES,
     SweepSpec,
@@ -65,12 +65,7 @@ __all__ = ["main", "parse_config", "ConfigError", "RunSettings"]
 TRACE_HEADER = ("round", "item_id", "advertisement", "intro_round",
                 "share_mean", "share_std", "consumption_rate_mean")
 
-_TOPOLOGY_ALIASES = {
-    "ring": "ring",
-    "random": "random",
-    "small-world": "small_world",
-    "small_world": "small_world",
-}
+_TOPOLOGY_ALIASES = {"small-world": "small_world"}
 
 
 class ConfigError(ValueError):
@@ -87,6 +82,14 @@ class RunSettings:
     objective: str = "final_share"
     jobs: int = 1
     out: str = "out"
+
+    def __post_init__(self):
+        for name in ("runs", "jobs"):
+            value = check_int(name, getattr(self, name))
+            if value < 1:
+                raise ValueError("%s: need at least 1 (got %d)" % (name, value))
+            object.__setattr__(self, name, value)
+        check_choice("objective", self.objective, OBJECTIVES)
 
 
 _DEFAULT_GRID_ADV = tuple(round(v * 0.1, 10) for v in range(11))
@@ -129,28 +132,20 @@ def _parse_float_list(key: str, raw) -> Tuple[float, ...]:
     return tuple(_parse_float(key, p) for p in parts)
 
 
-def _parse_choice(key: str, raw, choices: Sequence[str]) -> str:
-    v = str(raw).strip()
-    if v not in choices:
-        raise ConfigError(
-            "%s: expected one of %s (got %r)" % (key, ", ".join(choices), raw)
-        )
-    return v
-
-
 def _parse_optional_float(key: str, raw) -> Optional[float]:
     if isinstance(raw, str) and raw.strip().lower() in ("none", ""):
         return None
     return _parse_float(key, raw)
 
 
+def _parse_text(key: str, raw):
+    """Text without its surrounding blanks; the field's owner checks it."""
+    return raw.strip() if isinstance(raw, str) else raw
+
+
 def _parse_topology(key: str, raw) -> str:
     v = str(raw).strip()
-    if v not in _TOPOLOGY_ALIASES:
-        raise ConfigError(
-            "%s: expected ring, random, or small-world (got %r)" % (key, v)
-        )
-    return _TOPOLOGY_ALIASES[v]
+    return _TOPOLOGY_ALIASES.get(v, v)
 
 
 def _parse_path(key: str, raw) -> str:
@@ -162,14 +157,14 @@ def _parse_path(key: str, raw) -> str:
 
 # Every config key, in the order values are parsed: its field in RunSettings
 # as a dotted path, its parser, and its flag help (None: no flag, so the key
-# is set only by a config file or manifest). A key not given keeps the
-# default of the dataclass that owns its field.
+# is set only by a config file or manifest). A parser only converts text;
+# the dataclass that owns the field checks the value, and a key not given
+# keeps that dataclass's default.
 _KEYS = {
     "agents": ("config.n_agents", _parse_int, "number of agents"),
     "items": ("config.m_initial", _parse_int, "initial catalog size"),
     "rounds": ("config.rounds", _parse_int, "rounds per run"),
-    "mode": ("config.mode", partial(_parse_choice, choices=MODES),
-             "cultural or fashion"),
+    "mode": ("config.mode", _parse_text, "cultural or fashion"),
     "topology": ("config.topology.kind", _parse_topology,
                  "ring, random, or small-world"),
     "k": ("config.topology.k", _parse_int, "ring/small-world degree (even)"),
@@ -181,15 +176,13 @@ _KEYS = {
     "intro_batch": ("config.params.intro_batch", _parse_int, None),
     "intro_ads": ("config.params.intro_ads", _parse_float_list, None),
     "catalog_ads": ("config.params.catalog_ads", _parse_float, None),
-    "new_item_liking": ("config.params.new_item_liking",
-                        partial(_parse_choice, choices=NEW_ITEM_LIKINGS), None),
-    "utility_social_blend": ("config.params.utility_social_blend",
-                             partial(_parse_choice, choices=BLENDS), None),
+    "new_item_liking": ("config.params.new_item_liking", _parse_text, None),
+    "utility_social_blend": ("config.params.utility_social_blend", _parse_text, None),
     "min_utility": ("config.params.min_utility", _parse_optional_float, None),
     "runs": ("runs", _parse_int, "runs per ensemble"),
     "seed": ("config.seed", _parse_int, "master seed (64-bit)"),
     "grid": ("grid", _parse_float_list, "comma separated grid values"),
-    "objective": ("objective", partial(_parse_choice, choices=OBJECTIVES),
+    "objective": ("objective", _parse_text,
                   "optimize target: final_share or integrated_share"),
     "jobs": ("jobs", _parse_int, "worker thread cap"),
     "out": ("out", _parse_path, "output directory (env FASHSIM_OUT as fallback)"),
@@ -265,19 +258,15 @@ def parse_config(path: Optional[str],
         if values.get(key) is not None:
             owner, _, name = target.rpartition(".")
             kwargs[owner][name] = parse(key, values[key])
-    for key in ("runs", "jobs"):
-        if kwargs[""].get(key, 1) < 1:
-            raise ConfigError("%s: need at least 1 (got %d)" % (key, kwargs[""][key]))
-
     try:
         config = SimulationConfig(
             params=MarketParams(**kwargs["config.params"]),
             topology=TopologySpec(**kwargs["config.topology"]),
             **kwargs["config"],
         )
+        return RunSettings(config=config, **kwargs[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunSettings(config=config, **kwargs[""])
 
 
 # Lines of trace.csv built at a time: the file's lines go out in chunks

@@ -28,8 +28,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import model
-from .graph import TopologySpec, check_int
-from .model import MODES, MarketBatch, MarketParams, MarketState, shared_params
+from .graph import TopologySpec, check_choice, check_int
+from .model import MODES, ROUND_LIMIT, MarketBatch, MarketParams, MarketState, shared_params
 
 __all__ = [
     "SimulationConfig",
@@ -111,13 +111,9 @@ class SimulationConfig:
             raise ValueError("agents: need at least 2 (got %d)" % self.n_agents)
         if self.m_initial < 1:
             raise ValueError("items: need at least 1 (got %d)" % self.m_initial)
-        if not 1 <= self.rounds < 2**31:
-            # The market records a consumption's round label as int32.
+        if not 1 <= self.rounds < ROUND_LIMIT:
             raise ValueError("rounds: must be in [1, 2^31) (got %d)" % self.rounds)
-        if self.mode not in MODES:
-            raise ValueError(
-                "mode: expected one of %s (got %r)" % (", ".join(MODES), self.mode)
-            )
+        check_choice("mode", self.mode, MODES)
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed: must fit in 64 bits (got %r)" % (self.seed,))
         self.topology.validate_for(self.n_agents)
@@ -344,8 +340,10 @@ def step(state: MarketBatch) -> np.ndarray:
     return np.column_stack((agents, items))
 
 
-def _simulate(configs: Sequence[SimulationConfig]) -> Tuple[MarketBatch, np.ndarray]:
-    """Step runs of one shape (equal _batch_key) together as one market.
+def _simulate(configs: Sequence[SimulationConfig],
+              seeds: Sequence[int]) -> Tuple[MarketBatch, np.ndarray]:
+    """Step runs of one shape (equal _batch_key) together as one market,
+    run b on configs[b] seeded by seeds[b] (its config's seed is not read).
 
     Returns the market, whose consumed array records every run's events,
     and each run's consumer counts after every round as a (runs, R, M)
@@ -357,7 +355,7 @@ def _simulate(configs: Sequence[SimulationConfig]) -> Tuple[MarketBatch, np.ndar
     that round's decisions.
     """
     first = configs[0]
-    rngs = [np.random.default_rng(np.random.PCG64(c.seed)) for c in configs]
+    rngs = [np.random.default_rng(np.random.PCG64(seed)) for seed in seeds]
     market = _new_market(configs, rngs)
     period = first.params.intro_period
     R = first.rounds
@@ -386,7 +384,7 @@ def _read_out(market: MarketBatch, counts: np.ndarray) -> Tuple[np.ndarray, ...]
 
 def run(config: SimulationConfig) -> Trace:
     """Execute one full simulation and return its trace (a batch of one)."""
-    market, counts = _simulate([config])
+    market, counts = _simulate([config], [config.seed])
     shares, quality, ads, intro_rounds = _read_out(market, counts)
     R, m_final = counts.shape[1:]
     return Trace(
@@ -410,11 +408,9 @@ def _batch_key(config: SimulationConfig) -> SimulationConfig:
 
 
 def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
-    """Cut the work list of (point, run, config), in order, into batches
-    of equal _batch_key holding at most BATCH_CELLS cells (a larger run is
-    a batch alone). The key and size are worked out from the first run of
-    each point, so the configs that share a point index must differ at
-    most in seed (as run_ensembles' do) or in fields the key leaves out."""
+    """Cut the work list of (point, run, config, seed), in order, into
+    batches of equal _batch_key under BATCH_CELLS cells (a larger run is a
+    batch alone); each point's config is keyed and sized once."""
     batch, key, cells, point = [], None, 0, None
     for w in work:
         if w[0] != point:
@@ -431,8 +427,8 @@ def _batches(work: Sequence[tuple]) -> Iterator[List[tuple]]:
 
 
 def _run_batch(batch: Sequence[tuple]) -> Tuple[np.ndarray, ...]:
-    """Simulate a batch of (point, run, config) work; see _read_out."""
-    return _read_out(*_simulate([config for _, _, config in batch]))
+    """Simulate a batch of (point, run, config, seed) work; see _read_out."""
+    return _read_out(*_simulate([w[2] for w in batch], [w[3] for w in batch]))
 
 
 def _in_order(fn, items: Sequence, jobs: int) -> Iterator:
@@ -470,15 +466,14 @@ def run_ensembles(configs: Sequence[SimulationConfig], runs: int,
         raise ValueError("runs: need at least 1 (got %d)" % runs)
     if jobs < 1:
         raise ValueError("jobs: need at least 1 (got %d)" % jobs)
-    # A point's runs differ only in seed: _batches keys each point once.
-    work = [(p, i, replace(c, seed=derive_seed(c.seed, i)))
+    work = [(p, i, c, derive_seed(c.seed, i))
             for p, c in enumerate(configs) for i in range(runs)]
     batches = list(_batches(work))
     results = []
     for batch, (shares, quality, ads, intro) in zip(
             batches, _in_order(_run_batch, batches, jobs)):
         R, m = shares.shape[1:]
-        for b, (point, run_idx, _) in enumerate(batch):
+        for b, (point, run_idx, _, _) in enumerate(batch):
             if run_idx == 0:
                 point_shares, point_quality = np.empty((runs, R, m)), np.empty((runs, m))
                 point_ads, point_intro = ads[b].copy(), intro

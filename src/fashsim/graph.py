@@ -52,6 +52,14 @@ def check_floats(name: str, values) -> Tuple[float, ...]:
     return tuple(check_float(name, v) for v in values)
 
 
+def check_choice(name: str, value, choices: Tuple[str, ...]) -> None:
+    """An enumerated field's value must be one of choices; anything else
+    is a ValueError naming the field and listing the choices."""
+    if value not in choices:
+        raise ValueError("%s: expected one of %s (got %r)"
+                         % (name, ", ".join(choices), value))
+
+
 class SocialGraph:
     """Immutable undirected graph in CSR form.
 
@@ -288,11 +296,7 @@ class TopologySpec:
     p: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in _TOPOLOGY_KINDS:
-            raise ValueError(
-                "topology: unknown kind %r (expected one of %s)"
-                % (self.kind, ", ".join(_TOPOLOGY_KINDS))
-            )
+        check_choice("topology", self.kind, _TOPOLOGY_KINDS)
         object.__setattr__(self, "k", check_int("k", self.k))
         object.__setattr__(self, "p", check_float("p", self.p))
         if self.kind != "random":

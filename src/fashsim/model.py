@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import SocialGraph, check_float, check_floats, check_int
+from .graph import SocialGraph, check_choice, check_float, check_floats, check_int
 
 __all__ = [
     "MarketParams",
@@ -35,6 +35,10 @@ __all__ = [
 MODES = ("cultural", "fashion")
 BLENDS = ("liking", "literal_consumption")
 NEW_ITEM_LIKINGS = ("zero", "uniform")
+
+# consumed's dtype: each consumption's round label, 0 for none, is below 2^31.
+CONSUMED_DTYPE = np.int32
+ROUND_LIMIT = int(np.iinfo(CONSUMED_DTYPE).max) + 1
 
 # Cell budget of one block of the score kernel: choose (fashion mode) and
 # _score_columns walk the agent rows in blocks of at most this many cells
@@ -113,16 +117,8 @@ class MarketParams:
         _check_advertisement(self.catalog_ads, "catalog_ads")
         if self.tracked_intro_ad is not None:
             _check_advertisement(self.tracked_intro_ad, "tracked_intro_ad")
-        if self.new_item_liking not in NEW_ITEM_LIKINGS:
-            raise ValueError(
-                "new_item_liking: expected one of %s (got %r)"
-                % (", ".join(NEW_ITEM_LIKINGS), self.new_item_liking)
-            )
-        if self.utility_social_blend not in BLENDS:
-            raise ValueError(
-                "utility_social_blend: expected one of %s (got %r)"
-                % (", ".join(BLENDS), self.utility_social_blend)
-            )
+        check_choice("new_item_liking", self.new_item_liking, NEW_ITEM_LIKINGS)
+        check_choice("utility_social_blend", self.utility_social_blend, BLENDS)
         if self.min_utility is not None and not math.isfinite(self.min_utility):
             raise ValueError("min_utility: must be finite or None")
 
@@ -231,8 +227,7 @@ class MarketBatch:
         liking (runs * n, m) and tolerance (runs * n,) hold the runs' rows
         in order; advertisement is (m,), shared by every run, or (runs, m).
         """
-        if mode not in MODES:
-            raise ValueError("mode: expected one of %s (got %r)" % (", ".join(MODES), mode))
+        check_choice("mode", mode, MODES)
         runs = len(graphs)
         if runs < 1 or len(run_params) != runs:
             raise ValueError("graphs: need one graph per run's params (got %d for %d)"
@@ -240,8 +235,7 @@ class MarketBatch:
         n = graphs[0].n
         if any(g.n != n for g in graphs):
             raise ValueError("graphs: every run needs a graph of %d agents" % n)
-        shared = shared_params(run_params[0])
-        if any(shared_params(q) != shared for q in run_params):
+        if len({shared_params(q) for q in set(run_params)}) > 1:
             raise ValueError("run_params: runs of one batch may differ only in gamma, "
                              "beta and tracked_intro_ad")
         liking = np.asarray(liking, dtype=np.float64)
@@ -288,7 +282,7 @@ class MarketBatch:
         self.advertisement = np.zeros((runs, cap), dtype=np.float64)
         self.advertisement[:, :m] = advertisement
         self.intro_rounds = np.zeros(cap, dtype=np.int64)
-        self.consumed = np.zeros((rows, cap), dtype=np.int32)
+        self.consumed = np.zeros((rows, cap), dtype=CONSUMED_DTYPE)
         self.counts = np.zeros((runs, cap), dtype=np.int64)
         self.nbr_counts = np.zeros((rows, cap), dtype=np.int32)
         self.scores, self._scratch = np.empty((rows, cap)), np.empty(max(BLOCK_CELLS, cap))
@@ -616,8 +610,7 @@ def _check_tolerance(t: float) -> None:
 
 
 def _check_round(round_no: int) -> None:
-    # consumed holds the round label as int32, and 0 means not consumed.
-    if not 1 <= round_no < 2**31:
+    if not 1 <= round_no < ROUND_LIMIT:
         raise ValueError("round_no: must be in [1, 2^31) (got %r)" % (round_no,))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .engine import EnsembleResult, SimulationConfig, derive_seed, run_ensembles
-from .graph import check_floats, check_int
+from .graph import check_choice, check_floats, check_int
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -49,11 +49,7 @@ class SweepSpec:
     def __post_init__(self):
         if not isinstance(self.base, SimulationConfig):
             raise ValueError("base: expected a SimulationConfig (got %r)" % (self.base,))
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                "parameter: expected one of %s (got %r)"
-                % (", ".join(SWEEP_PARAMETERS), self.parameter)
-            )
+        check_choice("parameter", self.parameter, SWEEP_PARAMETERS)
         object.__setattr__(self, "grid", check_floats("grid", self.grid))
         if len(self.grid) == 0:
             raise ValueError("grid: need at least one value")
@@ -162,10 +158,7 @@ def optimize_advertisement(
     grid position (0.0 and -0.0 tie, and A* keeps the first one's sign).
     jobs caps the worker threads, as in sweep (default 1, no thread pool).
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(
-            "objective: expected one of %s (got %r)" % (", ".join(OBJECTIVES), objective)
-        )
+    check_choice("objective", objective, OBJECTIVES)
     tracked = tracked_item_id(config)
     spec = SweepSpec(base=config, parameter="advertisement", grid=grid, runs=runs)
     result = sweep(spec, jobs=jobs)

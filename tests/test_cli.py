@@ -32,9 +32,10 @@ from fashsim.cli import (
     parse_config,
 )
 from fashsim.engine import SimulationConfig, run, run_ensemble
-from fashsim.graph import TopologySpec
+from fashsim.graph import TopologySpec, build_ring
 from fashsim.metrics import peak_stats, rate_series, share_series
-from fashsim.model import MarketParams
+from fashsim.model import BLENDS, MODES, NEW_ITEM_LIKINGS, MarketBatch, MarketParams
+from fashsim.sweep import OBJECTIVES, SWEEP_PARAMETERS, SweepSpec, optimize_advertisement
 
 CFG_TEXT = """\
 # small market for fast tests
@@ -149,6 +150,56 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/no/such/file.cfg")
+
+
+# The eight enumerated fields: (owner, field, how to build it, choices).
+ENUMERATED_FIELDS = [
+    pytest.param(field, make, choices, id="%s-%s" % (owner, field))
+    for owner, field, make, choices in [
+        ("SimulationConfig", "mode", lambda v: SimulationConfig(mode=v), MODES),
+        ("MarketBatch", "mode",
+         lambda v: MarketBatch([MarketParams()], [build_ring(4, 2)], v,
+                               np.zeros((4, 1)), np.ones(4), np.zeros(1)), MODES),
+        ("MarketParams", "new_item_liking",
+         lambda v: MarketParams(new_item_liking=v), NEW_ITEM_LIKINGS),
+        ("MarketParams", "utility_social_blend",
+         lambda v: MarketParams(utility_social_blend=v), BLENDS),
+        ("TopologySpec", "topology", lambda v: TopologySpec(kind=v),
+         ("ring", "random", "small_world")),
+        ("SweepSpec", "parameter", lambda v: SweepSpec(SimulationConfig(), v, (1.0,)),
+         SWEEP_PARAMETERS),
+        ("optimize_advertisement", "objective",
+         lambda v: optimize_advertisement(SimulationConfig(), (0.5,), objective=v),
+         OBJECTIVES),
+        ("RunSettings", "objective",
+         lambda v: RunSettings(SimulationConfig(), objective=v), OBJECTIVES),
+    ]
+]
+
+
+class TestOneOwnerPerRule:
+    """Each rule is checked by the dataclass or function that owns the
+    field, so a library call, a flag and a config file share its message."""
+
+    @pytest.mark.parametrize("field, make, choices", ENUMERATED_FIELDS)
+    def test_unknown_values_name_the_field_and_its_choices(self, field, make, choices):
+        with pytest.raises(ValueError) as err:
+            make("bogus")
+        assert str(err.value) == "%s: expected one of %s (got 'bogus')" % (
+            field, ", ".join(choices))
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", 0), ("jobs", 0), ("runs", True), ("objective", "best")])
+    def test_run_settings_check_their_own_fields(self, field, value):
+        """A RunSettings built in library code is checked as the CLI's is."""
+        with pytest.raises(ValueError, match="^%s: " % field):
+            RunSettings(SimulationConfig(), **{field: value})
+
+    def test_the_cli_reports_the_owners_message(self, capsys):
+        assert main(["run", "--topology", "star"]) == 1
+        assert capsys.readouterr().err == (
+            "fashsim: error: topology: expected one of ring, random, small_world "
+            "(got 'star')\n")
 
 
 class TestRunCommand:
@@ -962,7 +1013,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("FASHSIM_OUT", str(tmp_path / "env"))
         cfg = tmp_path / "empty_out.cfg"
-        cfg.write_text(open(cfg_file, encoding="utf-8").read() + "out =\n", encoding="utf-8")
+        cfg.write_text(Path(cfg_file).read_text(encoding="utf-8") + "out =\n", encoding="utf-8")
         for argv in (["run", "--config", str(cfg)],
                      ["run", "--config", cfg_file, "--out", ""],
                      ["run", "--config", cfg_file, "--out", "  "]):

@@ -732,7 +732,7 @@ class TestBlockedKernel:
         assert [len(b) for b in engine._batches(work)] == [len(configs)]
         tracemalloc.start()
         try:
-            engine._simulate(configs)
+            engine._simulate(configs, [c.seed for c in configs])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1104,6 +1104,24 @@ class TestEnsembles:
         b = run_ensemble(small_config(seed=2), runs=3, jobs=1)
         assert not np.array_equal(a.mean_share, b.mean_share)
 
+    def test_configs_are_checked_per_point_not_per_run(self, monkeypatch):
+        """A point's runs share its config and differ only in the seed
+        each one is handed, so no run re-checks a config of its own."""
+        cfg, calls = small_config(), []
+        check = SimulationConfig.__post_init__
+
+        def counted(config):
+            calls.append(config)
+            check(config)
+
+        monkeypatch.setattr(SimulationConfig, "__post_init__", counted)
+        made = []
+        for runs in (2, 40):
+            calls.clear()
+            engine.run_ensembles([cfg], runs)
+            made.append(len(calls))
+        assert made[0] == made[1]
+
 
 def bits(a):
     """An array's dtype, shape and bytes, for bit-for-bit comparison."""
@@ -1172,7 +1190,7 @@ class TestBatches:
         batches = []
 
         def recording(batch):
-            batches.append([point for point, _, _ in batch])
+            batches.append([w[0] for w in batch])
             return run_batch(batch)
 
         run_batch = engine._run_batch
@@ -1212,12 +1230,12 @@ class TestBatches:
             for s, g, b, a in [(1, 0.8, 6.0, None), (2, 0.0, 0.5, 1.0),
                                (3, 1.0, 40.0, 0.0), (4, 0.35, 6.0, 0.7)]
         ]
-        batch, counts = engine._simulate(configs)
+        batch, counts = engine._simulate(configs, [c.seed for c in configs])
         assert isinstance(batch, MarketBatch) and batch.runs == 4
         n, m = base.n_agents, counts.shape[2]
         quality = engine._read_out(batch, counts)[1]
         for b, cfg in enumerate(configs):
-            lone, lone_counts = engine._simulate([cfg])
+            lone, lone_counts = engine._simulate([cfg], [cfg.seed])
             assert isinstance(lone, MarketState)
             assert bits(counts[b]) == bits(lone_counts[0])
             rows = slice(b * n, (b + 1) * n)
