@@ -50,7 +50,7 @@ from .engine import (
     run,
     run_ensemble,
 )
-from .graph import TopologySpec, check_choice, check_int
+from .graph import TopologySpec, check_choice, check_floats, check_int
 from .metrics import gini, quality_share_correlation
 from .model import MarketParams
 from .sweep import (
@@ -90,6 +90,10 @@ class RunSettings:
                 raise ValueError("%s: need at least 1 (got %d)" % (name, value))
             object.__setattr__(self, name, value)
         check_choice("objective", self.objective, OBJECTIVES)
+        if self.grid is not None:
+            object.__setattr__(self, "grid", check_floats("grid", self.grid))
+        if not str(self.out).strip():
+            raise ValueError("out: expected a directory path (got %r)" % (self.out,))
 
 
 _DEFAULT_GRID_ADV = tuple(round(v * 0.1, 10) for v in range(11))
@@ -115,12 +119,9 @@ def _parse_float(key: str, raw) -> float:
     try:
         if isinstance(raw, bool):  # a JSON true/false is not a number
             raise ValueError
-        v = float(raw if not isinstance(raw, str) else raw.strip())
+        return float(raw if not isinstance(raw, str) else raw.strip())
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s: expected a number (got %r)" % (key, raw)) from None
-    if not math.isfinite(v):
-        raise ConfigError("%s: must be finite (got %r)" % (key, raw))
-    return v
 
 
 def _parse_float_list(key: str, raw) -> Tuple[float, ...]:
@@ -149,10 +150,8 @@ def _parse_topology(key: str, raw) -> str:
 
 
 def _parse_path(key: str, raw) -> str:
-    v = str(raw)
-    if not v.strip():
-        raise ConfigError("%s: expected a directory path (got %r)" % (key, raw))
-    return v
+    """The path as text, blanks kept; RunSettings rejects a blank one."""
+    return str(raw)
 
 
 # Every config key, in the order values are parsed: its field in RunSettings
@@ -651,7 +650,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         settings = parse_config(args.config, overrides)
         env_out = os.environ.get("FASHSIM_OUT")
         if args.out is None and env_out is not None:
-            settings = replace(settings, out=_parse_path("FASHSIM_OUT", env_out))
+            try:
+                settings = replace(settings, out=env_out)
+            except ValueError as exc:
+                raise ConfigError("FASHSIM_OUT: %s" % exc) from None
     except ConfigError as exc:
         print("fashsim: error: %s" % exc, file=sys.stderr)
         return 1

@@ -50,11 +50,12 @@ __all__ = [
 DEFAULT_SEED = 42
 
 # Cell budget of one batch: runs stepped together hold at most this many
-# (agent, item-capacity) cells, about 6.3 MB at 24 bytes per cell (liking
-# f8, consumed i4, nbr_counts i4 and the score cache f8, plus one block
-# buffer of model.BLOCK_CELLS per market); stepping a full batch of the
-# paper's runs peaks at about 34 bytes per cell with the temporaries and
-# the per-round counts (tracemalloc). A run larger than the budget is a
+# (agent, item-capacity) cells, about 5.0 MB at 19 bytes per cell (liking
+# f8, consumed i2, nbr_counts u1 below degree 256 and the score cache f8,
+# plus one block buffer of model.BLOCK_CELLS per market); stepping a full
+# batch of the paper's runs peaks at about 29 bytes per cell with the
+# temporaries and the per-round counts (tracemalloc). The times and peaks
+# below were taken at 24 bytes per cell. A run larger than the budget is a
 # batch of one. The paper's experiment (ring, 100 runs x 11 advertisement
 # levels, min of 2 calls, 2 vCPUs) at 2^15 / 2^16 / 2^17 / 2^18 cells
 # took, at n = 100 (5,400 cells a run), 2.88-3.31 / 2.45-2.63 /
@@ -148,7 +149,8 @@ class Trace:
 
     consumed is the run's one event log, the market's own record:
     consumed[i, a] is the round in which agent i consumed item a, or 0 if
-    it never did (4 bytes per cell). event_agents, event_items and events
+    it never did, in the record's dtype: int16 (2 bytes per cell) unless a
+    label passed 32,767, then int32. event_agents, event_items and events
     are derived from it on each access: round r's events in ascending
     agent order, int64, as step returned them.
     """
@@ -162,7 +164,7 @@ class Trace:
     quality: np.ndarray           # (M,) float64
     shares: np.ndarray            # (R, M) float64
     counts: np.ndarray            # (R, M) int64
-    consumed: np.ndarray          # (n_agents, M) int32, round label or 0
+    consumed: np.ndarray          # (n_agents, M) int16 or int32, round label or 0
 
     @property
     def n_items(self) -> int:

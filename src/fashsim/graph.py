@@ -9,6 +9,7 @@ Three builders are provided: a regular ring lattice, an Erdos-Renyi style
 random graph, and a small-world graph obtained by rewiring ring edges.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Set, Tuple
 
@@ -34,13 +35,16 @@ def check_int(name: str, value) -> int:
 
 
 def check_float(name: str, value) -> float:
-    """A real field's value as a Python float. A bool or a non-real value
-    is a ValueError naming the field; NumPy and Python ints and floats
-    pass. Range checks stay with the field's owner."""
+    """A real field's value as a finite Python float. A bool, a non-real
+    value, NaN or an infinity is a ValueError naming the field; NumPy and
+    Python ints and floats pass. Range checks stay with the field's owner."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ValueError("%s: must be a number (got %r)" % (name, value))
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s: must be finite (got %r)" % (name, value))
+    return value
 
 
 def check_floats(name: str, values) -> Tuple[float, ...]:

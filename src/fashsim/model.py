@@ -36,7 +36,9 @@ MODES = ("cultural", "fashion")
 BLENDS = ("liking", "literal_consumption")
 NEW_ITEM_LIKINGS = ("zero", "uniform")
 
-# consumed's dtype: each consumption's round label, 0 for none, is below 2^31.
+# consumed's widest dtype: the record starts as int16, and commit_round
+# widens it to this once a label passes 32,767. Each consumption's round
+# label, 0 for none, is below 2^31.
 CONSUMED_DTYPE = np.int32
 ROUND_LIMIT = int(np.iinfo(CONSUMED_DTYPE).max) + 1
 
@@ -96,8 +98,8 @@ class MarketParams:
         object.__setattr__(self, "intro_ads", check_floats("intro_ads", self.intro_ads))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma: must be in [0, 1] (got %r)" % (self.gamma,))
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta: must be > 0 and finite (got %r)" % (self.beta,))
+        if not 0.0 < self.beta:
+            raise ValueError("beta: must be > 0 (got %r)" % (self.beta,))
         if not 0.0 <= self.sigmoid_center <= 1.0:
             raise ValueError(
                 "sigmoid_center: must be in [0, 1] (got %r)" % (self.sigmoid_center,)
@@ -119,8 +121,6 @@ class MarketParams:
             _check_advertisement(self.tracked_intro_ad, "tracked_intro_ad")
         check_choice("new_item_liking", self.new_item_liking, NEW_ITEM_LIKINGS)
         check_choice("utility_social_blend", self.utility_social_blend, BLENDS)
-        if self.min_utility is not None and not math.isfinite(self.min_utility):
-            raise ValueError("min_utility: must be finite or None")
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,14 @@ class MarketBatch:
     The market owns the cache and its scratch buffer, so batches on
     different threads share no memory.
 
-    Each cell costs 24 bytes: liking and scores float64, consumed and
-    nbr_counts int32 (an int32 count over a float64 degree is the same
-    float64 as an int64 one). The scratch buffer is one block of
+    Each cell costs 19 bytes on the paper's graphs: liking and scores
+    float64, consumed int16 (int32 from the first label past 32,767) and
+    nbr_counts the narrowest unsigned type that holds the largest degree
+    (uint8 below 256, then uint16, then uint32). Every count and label
+    converts to float64 exactly, so the narrow types change no score.
+    ``commit_round`` gathers the cells it raises in chunks of at most
+    BLOCK_CELLS cells, so its temporaries do not grow with the market
+    either. The scratch buffer is one block of
     max(BLOCK_CELLS, capacity) float64s, whatever the row count:
     ``_score_columns`` and ``choose`` (fashion mode) walk the rows in
     blocks of at most BLOCK_CELLS cells that never cross a run boundary
@@ -282,14 +287,19 @@ class MarketBatch:
         self.advertisement = np.zeros((runs, cap), dtype=np.float64)
         self.advertisement[:, :m] = advertisement
         self.intro_rounds = np.zeros(cap, dtype=np.int64)
-        self.consumed = np.zeros((rows, cap), dtype=CONSUMED_DTYPE)
+        # int16 until a label passes 32,767 (commit_round widens it then),
+        # and neighbour counts in the narrowest unsigned type that holds
+        # the largest degree; the graph never changes, so neither does that.
+        self.consumed = np.zeros((rows, cap), dtype=np.int16)
         self.counts = np.zeros((runs, cap), dtype=np.int64)
-        self.nbr_counts = np.zeros((rows, cap), dtype=np.int32)
+        degrees = self.graph.degrees
+        self.nbr_counts = np.zeros((rows, cap),
+                                   dtype=np.min_scalar_type(int(degrees.max())))
         self.scores, self._scratch = np.empty((rows, cap)), np.empty(max(BLOCK_CELLS, cap))
         self._scored = 0
         # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
         # the +0.0 that decide_round leaves where deg == 0.
-        self._denom = np.maximum(self.graph.degrees, 1).astype(np.float64)
+        self._denom = np.maximum(degrees, 1).astype(np.float64)
         # One gamma when the runs agree, else a column of each row's gamma.
         gammas = [q.gamma for q in run_params]
         self._gamma = self.params.gamma if len(set(gammas)) == 1 else (
@@ -381,9 +391,14 @@ class MarketBatch:
         add or store, so the result equals committing each pair alone, in
         any order. The whole batch is validated before anything is written.
 
-        The live columns not yet scored are scored first; then the cells
-        whose neighbour counts rose are re-scored and the consumed pairs
-        set to -inf, so the score cache is left whole.
+        The live columns not yet scored are scored first and every label is
+        written; then the consumers are taken in chunks whose neighbour
+        rows hold at most BLOCK_CELLS cells, so the gathers stay cache-sized
+        and do not grow with the market. Each chunk raises its cells'
+        neighbour counts and re-scores them; a cell raised by several
+        chunks is re-scored after each, the last time from its final count.
+        The consumed pairs are then set to -inf, so the score cache is left
+        whole.
         """
         _check_round(round_no)
         agents = np.asarray(agents, dtype=np.int64)
@@ -403,30 +418,41 @@ class MarketBatch:
             raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
 
         self._score_columns()
+        if round_no > np.iinfo(self.consumed.dtype).max:
+            self.consumed = self.consumed.astype(CONSUMED_DTYPE)
         self.consumed[agents, items] = round_no
         cap = self.consumed.shape[1]
         # counts flattened: run r's item a is r * cap + a (on a MarketState
         # every agent is in run 0, so the index is the item id).
         counts = self.counts.reshape(-1)
         counts += np.bincount(agents // self.run_size * cap + items, minlength=counts.size)
-        rows, cols = self._neighbour_cells(agents, items)
-        flat = rows * cap
-        flat += cols
         # nbr_counts and scores are allocated C-contiguous (by __init__ and
         # _grow), so the reshapes are views and the flat writes land in them.
         # A scalar of the array's dtype: NumPy's add.at takes a slow path
-        # on int32 with a Python int.
-        np.add.at(self.nbr_counts.reshape(-1), flat, np.int32(1))
-        self._rescore(rows, cols, flat)
+        # when the two differ (int32 with a Python int).
+        nbr, one = self.nbr_counts.reshape(-1), self.nbr_counts.dtype.type(1)
+        starts = self.graph.offsets[agents]
+        lens = self.graph.offsets[agents + 1] - starts
+        ends = np.cumsum(lens)
+        lo = 0
+        while lo < len(agents):
+            # The next chunk raises at most BLOCK_CELLS cells, or is one
+            # consumer with more neighbours than that.
+            hi = max(int(np.searchsorted(ends, ends[lo] - lens[lo] + BLOCK_CELLS,
+                                         side="right")), lo + 1)
+            rows, cols = self._neighbour_cells(starts[lo:hi], lens[lo:hi], items[lo:hi])
+            flat = rows * cap
+            flat += cols
+            np.add.at(nbr, flat, one)
+            self._rescore(rows, cols, flat)
+            lo = hi
         self.scores.reshape(-1).put(agents * cap + items, -np.inf)
 
-    def _neighbour_cells(self, agents: np.ndarray,
+    def _neighbour_cells(self, starts: np.ndarray, lens: np.ndarray,
                          items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The neighbour rows of the consumers, gathered from the CSR
-        arrays, and each consumer's item repeated once per neighbour."""
-        offsets = self.graph.offsets
-        starts = offsets[agents]
-        lens = offsets[agents + 1] - starts
+        """The neighbour rows of consumers whose CSR rows start at starts
+        and hold lens targets, and each consumer's item repeated once per
+        neighbour."""
         ends = np.cumsum(lens)
         pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
         return self.graph.targets[pos], np.repeat(items, lens)

@@ -58,7 +58,7 @@ class SweepSpec:
             raise ValueError("runs: need at least 1 (got %d)" % self.runs)
         for v in self.grid:
             # int(2.5) truncates, so _apply alone would accept it.
-            if self.parameter == "n_agents" and not (math.isfinite(v) and v == int(v)):
+            if self.parameter == "n_agents" and v != int(v):
                 raise ValueError("grid: n_agents values must be integers (got %r)" % (v,))
             try:
                 _apply(self.base, self.parameter, v, self.base.seed)

@@ -195,6 +195,11 @@ class TestOneOwnerPerRule:
         with pytest.raises(ValueError, match="^%s: " % field):
             RunSettings(SimulationConfig(), **{field: value})
 
+    @pytest.mark.parametrize("out", ["", "  "])
+    def test_run_settings_reject_a_blank_out(self, out):
+        with pytest.raises(ValueError, match="^out: expected a directory path"):
+            RunSettings(SimulationConfig(), out=out)
+
     def test_the_cli_reports_the_owners_message(self, capsys):
         assert main(["run", "--topology", "star"]) == 1
         assert capsys.readouterr().err == (

@@ -460,6 +460,27 @@ class TestCommitRound:
                 state.commit_round(np.array([0]), np.array([0]), round_no)
         assert not state.consumed.any()
 
+    def test_a_label_past_int16_widens_the_record(self):
+        """consumed starts as int16; the first label past 32,767 widens it
+        to int32, every earlier label kept, and the market still decides
+        as the full recompute does."""
+        state = init_market(cache_config(5))
+        assert state.consumed.dtype == np.int16
+        for label in (1, 2, 32_767):
+            state.commit_round(*open_pairs(state, 6), label)
+        before = state.consumed.copy()
+        agents, items = open_pairs(state, 6)
+        state.commit_round(agents, items, 40_000)
+        assert state.consumed.dtype == np.int32
+        want = before.astype(np.int32)
+        want[agents, items] = 40_000
+        assert np.array_equal(state.consumed, want)
+        assert sorted(np.unique(want).tolist()) == [0, 1, 2, 32_767, 40_000]
+        assert_cache_is_whole(state)
+        state.round = 40_000
+        step_against_the_reference(state)
+        assert state.consumed.max() == 40_001
+
 
 def rescored(state):
     """A copy of state whose score cache is rebuilt from scratch."""
@@ -702,26 +723,43 @@ class TestBlockedKernel:
             assert state._scratch.size == max(3, state.liking.shape[1])
             step_against_the_reference(state)
 
-    def test_neighbour_counts_stay_int32(self):
+    @pytest.mark.parametrize("leaves", [0, 300])
+    def test_neighbour_counts_follow_the_degree_bound(self, leaves):
+        """nbr_counts takes the narrowest unsigned type that holds the
+        largest degree, once, and keeps it through introductions and
+        _grow: uint8 on a ring of degree 4, uint16 on a star whose hub has
+        300 neighbours. Every leaf takes the one catalog item in round 1,
+        so the hub's count passes uint8's 255."""
         rng = rng_from(41)
-        state = MarketState(MarketParams(intro_batch=2), build_ring(10, 4), "fashion",
-                            liking=rng.random((10, 1)), tolerance=np.full(10, 0.5),
+        if leaves:
+            graph = SocialGraph.from_adjacency(
+                {0: range(1, leaves + 1), **{i: [0] for i in range(1, leaves + 1)}})
+        else:
+            graph = build_ring(10, 4)
+        want = np.uint16 if leaves else np.uint8
+        n = graph.n
+        state = MarketState(MarketParams(intro_batch=2), graph, "fashion",
+                            liking=rng.random((n, 1)), tolerance=np.full(n, 0.5),
                             advertisement=np.full(1, 0.3))
+        assert state.nbr_counts.dtype == want
+        step_against_the_reference(state)
+        assert state.nbr_counts[0, 0] == (leaves or 4)
         caps = set()
         for _ in range(6):
             introduce_items(state, rng)
             caps.add(state.liking.shape[1])
             step_against_the_reference(state)
-            assert state.nbr_counts.dtype == np.int32
-        assert len(caps) >= 3 and state.nbr_counts.any()
+            assert state.nbr_counts.dtype == want
+        assert len(caps) >= 3
 
-    def test_the_paper_batch_stays_under_36_bytes_per_cell(self):
+    def test_the_paper_batch_stays_under_30_bytes_per_cell(self):
         """tracemalloc peak of stepping a full batch of the paper's runs,
         market, temporaries and per-round counts together: 44.6 B per
         cell with a scratch buffer as large as the cache and int64
-        neighbour counts, about 34 with one block buffer and int32. The
-        48 runs (100 agents, ring, 50 + 4 items, 30 rounds) fill one
-        BATCH_CELLS batch."""
+        neighbour counts, 33.3 with one block buffer and int32 cells, and
+        28.7 with an int16 record and uint8 neighbour counts. The 48 runs
+        (100 agents, ring, 50 + 4 items, 30 rounds) fill one BATCH_CELLS
+        batch."""
         base = SimulationConfig(
             n_agents=100, m_initial=50, rounds=30,
             params=MarketParams(gamma=0.95, beta=10.0, intro_period=6, intro_ads=(0.7,)))
@@ -736,7 +774,7 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / cells < 36
+        assert peak / cells < 30
 
 
 def penalties_per_item(state):
@@ -1009,13 +1047,14 @@ class TestTraceEvents:
         if mode == "cultural":
             assert sizes[-1] == 0
 
-    def test_the_trace_keeps_four_bytes_per_cell(self):
+    def test_the_trace_keeps_two_bytes_per_cell(self):
         """tracemalloc on a 2 * 10^4-agent ring (50 + 4 items, 30 rounds):
-        the run peaks under 32 bytes per cell and the finished Trace holds
-        under 5, its consumed array and the small per-round tables. With
-        every round's events kept as arrays it was 38.5 and 8.9; with the
-        catalog likings drawn through one (n, m) buffer it peaked at 32.7,
-        and in row blocks at 29.9."""
+        the run peaks under 24 bytes per cell and the finished Trace holds
+        under 3, its int16 consumed array and the small per-round tables.
+        With every round's events kept as arrays it was 38.5 and 8.9; with
+        the catalog likings drawn through one (n, m) buffer it peaked at
+        32.7, in row blocks at 29.9 (holding 4.0 with an int32 record), and
+        with 19-byte cells and the commit in chunks at 22.9 (holding 2.0)."""
         cfg = SimulationConfig(n_agents=20_000, m_initial=50, rounds=30)
         cells = cfg.n_agents * engine._final_item_count(cfg)
         tracemalloc.start()
@@ -1025,8 +1064,8 @@ class TestTraceEvents:
         finally:
             tracemalloc.stop()
         assert trace.consumed.shape == (cfg.n_agents, 54)
-        assert peak / cells < 32
-        assert held / cells < 5
+        assert peak / cells < 24
+        assert held / cells < 3
 
 
 class TestEnsembles:

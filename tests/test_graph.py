@@ -317,6 +317,14 @@ class TestTopologySpec:
             TopologySpec(kind="random", p=-0.2)
         TopologySpec(kind="random", k=7)  # k is ignored for random graphs
 
+    @pytest.mark.parametrize("kind", ["ring", "random", "small_world"])
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+    def test_p_must_be_finite_even_where_it_is_ignored(self, kind, p):
+        """A ring never reads p, yet a NaN or an infinity there is still
+        rejected, as every float field rejects one."""
+        with pytest.raises(ValueError, match="^p: must be finite"):
+            TopologySpec(kind=kind, p=p)
+
     def test_validate_for_agent_count(self):
         with pytest.raises(ValueError):
             TopologySpec(kind="ring", k=4).validate_for(4)
