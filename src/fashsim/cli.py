@@ -37,6 +37,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -269,14 +270,16 @@ def parse_config(path: Optional[str],
 
 
 # Lines of trace.csv built at a time: the file's lines go out in chunks
-# of this many (the last shorter), so the writer holds one chunk's cells and
+# of this many (the last shorter), so the writer holds one chunk's cells or
 # text (about 1.4 MB at catalog-wide's widths), never a point's or the
 # file's. Picked by timing the writer, sizes interleaved, on catalog-wide's
-# three 60,675-line points at seed 11 (2 vCPUs, median of 21): 2^12 /
-# 2^13 / 2^14 / 2^15 / 2^16 lines took 67 / 64 / 61 / 73 / 78 ms, and a
-# fresh process running the whole sweep-beta peaked at 49.9 MiB RSS at
-# 2^14 against 58.2 MiB at 2^16, where writing one point's text set the
-# peak.
+# three 60,675-line points at seed 11 (2 vCPUs, median of 21), when every
+# point was written cell by cell: 2^12 / 2^13 / 2^14 / 2^15 / 2^16 lines
+# took 67 / 64 / 61 / 73 / 78 ms, and a fresh process running the whole
+# sweep-beta peaked at 49.9 MiB RSS at 2^14 against 58.2 MiB at 2^16, where
+# writing one point's text set the peak. Those points are 99.46%
+# untraded lines and are now written round by round (_untraded_point),
+# which keeps the size chosen here for the cell-by-cell path.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -290,35 +293,98 @@ def _trace_text(points) -> Iterator[str]:
     in round r + 1, so it has no line before that. consumption_rate_mean
     is the round-on-round difference of mean, the first round's from 0.
     Chunks run across grid points: a chunk gathers pieces of consecutive
-    points (their round cells, item cells and float cells) until it is
-    full. Each cell carries its own ',' or newline, so a chunk is one join.
+    points (_point_pieces) until it is full.
     """
     pieces, held = [], 0
-    for grid_value, rounds, item_ids, ads, intros, mean, std in points:
-        rounds, intros = np.asarray(rounds), np.asarray(intros)
-        ri, ci = np.nonzero(intros[None, :] < rounds[:, None])
-        lead = "" if grid_value is None else "%.17g," % grid_value
-        round_cells = np.array([lead + "%d," % r for r in rounds.tolist()], dtype=object)
-        ad_at, ad_commas, _ = _float_texts(np.asarray(ads, dtype=np.float64))
-        item_cells = np.array(
-            ["%d,%s%d," % cells for cells in
-             zip(np.asarray(item_ids).tolist(), ad_commas[ad_at].tolist(), intros.tolist())],
-            dtype=object)
-        mean = np.asarray(mean, dtype=np.float64)
-        columns = [np.ascontiguousarray(table, dtype=np.float64).ravel() for table in
-                   (mean, std, np.diff(mean, axis=0, prepend=0.0))]
+    for point in points:
+        lines, piece = _point_pieces(*point)
         lo = 0
-        while lo < len(ri):
-            hi = min(len(ri), lo + _CHUNK_ROWS - held)
-            r, c = ri[lo:hi], ci[lo:hi]
-            at = r * len(intros) + c
-            pieces.append((round_cells[r], item_cells[c], [col.take(at) for col in columns]))
+        while lo < lines:
+            hi = min(lines, lo + _CHUNK_ROWS - held)
+            pieces.append(piece(lo, hi))
             held, lo = held + hi - lo, hi
             if held == _CHUNK_ROWS:
                 yield _chunk_text(pieces)
                 pieces, held = [], 0
+        del piece  # the point's arrays go before the next point's are built
     if pieces:
         yield _chunk_text(pieces)
+
+
+def _point_pieces(grid_value, rounds, item_ids, ads, intros, mean, std):
+    """A point's line count, and piece(lo, hi), which gives its lines
+    lo..hi as one of _chunk_text's pieces: text for a point whose lines
+    are mostly untraded (_untraded_point), else cells (_cell_piece)."""
+    rounds, intros = np.asarray(rounds), np.asarray(intros)
+    live = intros[None, :] < rounds[:, None]
+    ri, ci = np.nonzero(live)
+    lead = "" if grid_value is None else "%.17g," % grid_value
+    round_cells = np.array([lead + "%d," % r for r in rounds.tolist()], dtype=object)
+    ad_at, ad_commas, _ = _float_texts(np.asarray(ads, dtype=np.float64))
+    item_cells = np.array(
+        ["%d,%s%d," % cells for cells in
+         zip(np.asarray(item_ids).tolist(), ad_commas[ad_at].tolist(), intros.tolist())],
+        dtype=object)
+    mean = np.asarray(mean, dtype=np.float64)
+    columns = [np.ascontiguousarray(table, dtype=np.float64).ravel() for table in
+               (mean, std, np.diff(mean, axis=0, prepend=0.0))]
+    traded = _traded_lines(live, columns)
+    if 2 * len(traded) < len(ri):
+        return len(ri), _untraded_point(ri, ci, traded, round_cells, item_cells, columns)
+    return len(ri), partial(_cell_piece, ri, ci, round_cells, item_cells, columns)
+
+
+def _traded_lines(live, columns):
+    """The indices of the traded lines among a point's lines (its live
+    cells, row-major): a line is traded unless its three floats are all
+    +0.0 by bit pattern, so -0.0 and NaN count as traded."""
+    bits = columns[0].view(np.uint64) | columns[1].view(np.uint64)
+    bits |= columns[2].view(np.uint64)
+    return np.flatnonzero(bits.reshape(live.shape)[live])
+
+
+def _cell_piece(ri, ci, round_cells, item_cells, columns, lo, hi):
+    """Lines lo..hi of a point as (round cells, item cells, [mean, std,
+    rate] float cells), spelled when their chunk is (_chunk_text)."""
+    r, c = ri[lo:hi], ci[lo:hi]
+    at = r * len(item_cells) + c
+    return round_cells[r], item_cells[c], [col.take(at) for col in columns]
+
+
+# A point where more than half of the lines are untraded is written round
+# by round from per-item line tails; any other point cell by cell. In
+# process at seed 11 (2 vCPUs, median of 21), round by round took
+# catalog-wide's writer (99.46% of its lines untraded) from 29.5 to
+# 9.2 ms, but optimize-paper's (0.38% untraded) from 9.4 to 18.1 ms when
+# it took every point: there nearly every tail is a traded one, built by
+# string additions of its own.
+def _untraded_point(ri, ci, traded, round_cells, item_cells, columns):
+    """A point's pieces as text, for a point whose lines are mostly
+    untraded: piece(lo, hi) spells lines lo..hi.
+
+    Each line is its round's cell followed by a tail. An item's untraded
+    tail, 'id,ad,intro,0,0,0' and a newline, is spelled once; the traded
+    lines' tails are spelled in one pass through _float_texts. A round's
+    lines are one join of their tails on the round's cell.
+    """
+    tails = (item_cells + "0,0,0\n")[ci]
+    at = ri[traded] * len(item_cells) + ci[traded]
+    float_at, commas, newlines = _float_texts(np.concatenate([col[at] for col in columns]))
+    n = len(traded)
+    tails[traded] = (item_cells[ci[traded]] + commas[float_at[:n]]
+                     + commas[float_at[n:2 * n]] + newlines[float_at[2 * n:]])
+    # Line index at which each round starts, and one past the last line.
+    starts = np.searchsorted(ri, np.arange(len(round_cells) + 1)).tolist()
+
+    def piece(lo, hi):
+        parts = []
+        for r in range(ri[lo], ri[hi - 1] + 1):
+            a, b = max(starts[r], lo), min(starts[r + 1], hi)
+            if a < b:
+                cell = round_cells[r]
+                parts += (cell, cell.join(tails[a:b].tolist()))
+        return "".join(parts)
+    return piece
 
 
 def _float_texts(floats):
@@ -336,7 +402,9 @@ def _float_texts(floats):
     first = np.empty(len(bits), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    at = np.empty(len(bits), dtype=np.int32)  # a chunk has under 2^31 cells
+    # Under 2^31 cells: a chunk's, or the traded ones of a point with
+    # fewer than 1.4 billion lines (_untraded_point).
+    at = np.empty(len(bits), dtype=np.int32)
     at[order] = np.cumsum(first, dtype=np.int32) - 1
     distinct = ordered[first].view(np.float64).tolist()
     text = "%.17g\n" * len(distinct) % tuple(distinct)  # a spelling has no line break
@@ -345,9 +413,18 @@ def _float_texts(floats):
 
 
 def _chunk_text(pieces) -> str:
-    """One chunk's lines from its pieces of consecutive lines, each a
-    (round cells, item cells, [mean, std, rate] float cells). A function
-    of its own, so that the cell list is freed before the chunk is written."""
+    """One chunk's text from its pieces of consecutive lines: text, or cell
+    pieces (_cell_piece), which are spelled a run of consecutive ones at a
+    time (_cells_text)."""
+    return "".join(
+        "".join(group) if is_text else _cells_text(list(group))
+        for is_text, group in groupby(pieces, key=lambda piece: isinstance(piece, str)))
+
+
+def _cells_text(pieces) -> str:
+    """The lines of consecutive cell pieces, each a (round cells, item
+    cells, [mean, std, rate] float cells). A function of its own, so that
+    the cell list is freed before the chunk is written."""
     round_cells, item_cells, floats = zip(*pieces)
     rows = sum(map(len, round_cells))
     # Each float column, piece after piece.

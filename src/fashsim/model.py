@@ -270,13 +270,17 @@ class MarketBatch:
         self.params = run_params[0]
         self.run_params = tuple(run_params)
         self.runs, self.run_size = runs, n
-        # Disjoint union: run b's offsets continue where run b - 1's edges
-        # end, and its targets move to its block of rows.
-        starts = np.cumsum([0] + [len(g.targets) for g in graphs])
-        offsets = [g.offsets[1:] + s for g, s in zip(graphs, starts)]
-        targets = [g.targets + b * n for b, g in enumerate(graphs)]
-        self.graph = SocialGraph(rows, np.concatenate([[0]] + offsets),
-                                 np.concatenate(targets))
+        # Disjoint union, filled in place run by run: run b's offsets
+        # continue where run b - 1's edges end, and its targets move to its
+        # block of rows.
+        offsets = np.zeros(rows + 1, dtype=np.int64)
+        targets = np.empty(sum(len(g.targets) for g in graphs), dtype=np.int64)
+        edges = 0
+        for b, g in enumerate(graphs):
+            np.add(g.offsets[1:], edges, out=offsets[b * n + 1:(b + 1) * n + 1])
+            np.add(g.targets, b * n, out=targets[edges:edges + len(g.targets)])
+            edges += len(g.targets)
+        self.graph = SocialGraph(rows, offsets, targets)
         self.mode = mode
         self.round = 0
         self.m = m

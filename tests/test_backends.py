@@ -11,7 +11,7 @@ import numpy as np
 
 from fashsim.graph import build_random
 from fashsim.kernel import decide_round
-from fashsim.model import MarketParams, MarketState, penalty
+from fashsim.model import CONSUMED_DTYPE, MarketParams, MarketState, penalty
 
 
 def rng_from(seed):
@@ -31,7 +31,10 @@ def random_kernel_inputs(rng, n=None, m=None, **params):
                         graph, "fashion", liking=rng.random((n, m)),
                         tolerance=1.0 - rng.random(n), advertisement=rng.random(m))
     taken = rng.random((n, m)) < 0.35
-    state.consumed[:] = np.where(taken, rng.integers(1, 2**31, (n, m)), 0)
+    # Labels up to 2^31 - 1 need the record's widest type, which
+    # commit_round switches to past 32,767; the int16 one would wrap them.
+    state.consumed = np.where(taken, rng.integers(1, 2**31, (n, m)), 0).astype(CONSUMED_DTYPE)
+    assert np.array_equal(state.consumed != 0, taken)
     for i in range(n):
         state.nbr_counts[i] = taken[graph.neighbor_array(i)].sum(axis=0)
     state.counts[:] = rng.integers(0, n + 1, m)

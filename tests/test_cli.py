@@ -577,6 +577,32 @@ def written_lines(points):
     return "".join(chunks).splitlines(True)
 
 
+def sparse_point(shape, traded_std=(), *, mean=(), grid_value=1.0, intros=None):
+    """A point of shape (rounds, items) whose floats are all +0.0 but the
+    std cells in traded_std, each (round index, item, value), and the mean
+    cells in mean, likewise (a mean cell also moves the rate cells of its
+    round and the next)."""
+    tables = np.zeros((2,) + tuple(shape))
+    for table, cells in zip(tables, (mean, traded_std)):
+        for r, a, value in cells:
+            table[r, a] = value
+    return trace_point(tables[0], tables[1], grid_value=grid_value, intros=intros)
+
+
+@pytest.fixture
+def round_by_round(monkeypatch):
+    """The points _trace_text writes round by round, as a list that fills
+    as it writes them (each point's first round cell)."""
+    taken = []
+
+    def spy(ri, ci, traded, round_cells, *args):
+        taken.append(round_cells[0])
+        return untraded_point(ri, ci, traded, round_cells, *args)
+    untraded_point = cli._untraded_point
+    monkeypatch.setattr(cli, "_untraded_point", spy)
+    return taken
+
+
 class TestTraceText:
     """_trace_text against the per-cell reference, trace_rows_text."""
 
@@ -705,6 +731,95 @@ class TestTraceText:
         assert point_bytes > 5_000_000
         assert peaks[1] < 1.1 * peaks[0]
         assert peaks[0] < 1.5 * point_bytes
+
+    # Points where more than half of the lines are untraded (mean, std
+    # and rate all +0.0) are written round by round from per-item tails.
+    @pytest.mark.parametrize("grid_value", [None, 2.5])
+    def test_traded_lines_among_untraded_ones(self, round_by_round, grid_value):
+        """Traded lines in the first and the last round, a line whose only
+        nonzero cell is -0.0 and one whose only nonzero cell is NaN (both
+        traded), and items introduced mid-run, one never live."""
+        point = sparse_point((6, 9), [(2, 0, -0.0), (3, 5, np.nan)],
+                             mean=[(0, 1, 0.25), (5, 3, 0.5)], grid_value=grid_value,
+                             intros=[0, 0, 2, 0, 4, 0, 1, 6, 0])
+        lines = written_lines([point])
+        assert lines == reference_lines([point])
+        assert len(round_by_round) == 1 and len(lines) == 5 + 6 + 7 + 7 + 8 + 8
+        lead = "" if grid_value is None else "2.5,"
+        ads = ["%.17g" % a for a in point[3]]
+        assert lines[0] == lead + "1,0,0,0,0,0,0\n"
+        assert lines[1] == lead + "1,1,%s,0,0.25,0,0.25\n" % ads[1]
+        assert lead + "2,1,%s,0,0,0,-0.25\n" % ads[1] in lines
+        assert lead + "3,0,0,0,0,-0,0\n" in lines
+        assert lead + "4,5,%s,0,0,nan,0\n" % ads[5] in lines
+        assert lines[-1] == lead + "6,8,1,0,0,0,0\n"
+        assert lead + "6,3,%s,0,0.5,0,0.5\n" % ads[3] in lines[-8:]
+        assert not any(line.startswith(lead + "%d,4," % r) for line in lines for r in range(1, 5))
+        assert not any(",7,%s,6," % ads[7] in line for line in lines)
+
+    def test_the_path_turns_at_more_than_half_untraded(self, round_by_round):
+        """Of 10 lines, 6 untraded take the round-by-round path; 5 or 4
+        (half, or under) keep the cell-by-cell one. Each point is written
+        alone and among the others."""
+        def point(traded, grid_value):
+            return sparse_point((2, 5), [(k // 5, k % 5, 0.5) for k in range(traded)],
+                                grid_value=grid_value)
+        points = [point(4, 1.0), point(5, 2.0), point(6, 3.0)]
+        for one in points:
+            assert written_lines([one]) == reference_lines([one])
+        assert round_by_round == ["1,1,"]
+        assert written_lines(points) == reference_lines(points)
+        assert round_by_round == ["1,1,", "1,1,"]
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_sparse_dense_and_empty_points_share_chunks(self, monkeypatch, round_by_round,
+                                                        rows):
+        """Chunks run across points of either path, past empty ones and
+        through a point with no traded line: every chunk but the last
+        holds exactly _CHUNK_ROWS lines."""
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        intros = [0, 2, 0, 4, 1]
+        sparse = sparse_point((6, 5), [(0, 1, 0.5), (5, 4, 0.25)], mean=[(2, 0, 0.5)],
+                              grid_value=1.0, intros=intros)
+        dense = trace_point(np.round(rng.random((6, 5)), 1), grid_value=2.0, intros=intros)
+        empty = sparse_point((3, 3), grid_value=7.0, intros=[3, 3, 5])
+        points = [sparse, dense, empty, sparse_point((4, 5), [(3, 2, np.nan)], grid_value=3.0),
+                  empty, sparse_point((2, 4), grid_value=4.0), dense, sparse]
+        chunks = list(_trace_text(points))
+        lines = reference_lines(points)
+        assert "".join(chunks).splitlines(True) == lines
+        assert round_by_round == ["1,1,", "3,1,", "4,1,", "1,1,"]
+        assert all(chunk.count("\n") == rows for chunk in chunks[:-1])
+        assert 0 < chunks[-1].count("\n") <= rows
+        assert len(chunks) == -(-len(lines) // rows)
+
+    def test_writing_sparse_points_holds_one_chunk_at_a_time(self, tmp_path, round_by_round):
+        """tracemalloc, as test_writing_equal_points_holds_one_chunk_at_a_time:
+        K equal points of 20 rounds x 3,000 items with 1% of their lines
+        traded (60,000 lines, 2.2 MB of text each) peak at 3.2 MB for K = 1
+        (a point's line indices, diff table and tails while its tails are
+        built) and 3.8 MB for K = 6, where the next point's arrays are
+        built while up to one chunk's text (0.6 MB here) waits to be
+        written. Written cell by cell, the same point peaked at 4.8 MB."""
+        rng = np.random.default_rng(9)
+        cells = rng.choice(60_000, 600, replace=False)
+        point = sparse_point((20, 3000), [(c // 3000, c % 3000, 0.01 * (c % 7)) for c in cells],
+                             grid_value=3.0)
+        header = ("grid_value",) + TRACE_HEADER
+        peaks = []
+        for k in (1, 6):
+            tracemalloc.start()
+            try:
+                cli._write_csv(str(tmp_path / "trace.csv"), header, _trace_text([point] * k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(round_by_round) == 7
+        point_bytes = ((tmp_path / "trace.csv").stat().st_size - len(",".join(header)) - 1) / 6
+        assert point_bytes > 2_000_000
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[0] < 1.75 * point_bytes
 
 
 JSON_KEYS = st.one_of(

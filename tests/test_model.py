@@ -2,6 +2,7 @@
 on random states, and the documented edge cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fashsim.graph import SocialGraph, build_random, build_ring
+from fashsim.graph import SocialGraph, build_random, build_ring, build_small_world
 from fashsim.model import (
     MarketBatch,
     MarketParams,
@@ -504,6 +505,32 @@ class TestStateContainers:
         with pytest.raises(ValueError, match="likings"):
             state.append_items([0.5], likings, intro_round=1)
         assert state.m == 1
+
+    def test_the_union_graph_is_built_in_place(self):
+        """The batch's graph is the disjoint union of its runs' graphs, and
+        building it holds less than one targets array beside the batch
+        (tracemalloc, three runs of 5,000 agents: 0.24 MB against 0.48 MB
+        of targets). Shifting a copy of every run's targets and then
+        concatenating the copies took about 1.75 targets arrays; a lone
+        n = 10^5 ring market's transient fell from 5.3 to 1.5 MiB, against
+        3.1 MiB of targets."""
+        n, runs, m = 5000, 3, 4
+        graphs = [build_ring(n, 4), build_small_world(n, 6, 0.1, rng_from(1)), build_ring(n, 2)]
+        rng = rng_from(2)
+        liking, tolerance = rng.random((runs * n, m)), 1.0 - rng.random(runs * n)
+        ads = rng.random(m)
+        tracemalloc.start()
+        try:
+            batch = MarketBatch([MarketParams()] * runs, graphs, "fashion", liking, tolerance, ads)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        union = batch.graph
+        assert peak - held < union.targets.nbytes
+        for b, g in enumerate(graphs):
+            for i in (0, 1, n // 2, n - 1):
+                assert np.array_equal(union.neighbor_array(b * n + i), g.neighbor_array(i) + b * n)
+        assert union.offsets[-1] == len(union.targets) == sum(len(g.targets) for g in graphs)
 
 
 BOUNDED_FUNCS = (social_pressure, opinion, quality, market_share)
