@@ -304,8 +304,12 @@ def _trace_text(points) -> Iterator[str]:
             pieces.append(piece(lo, hi))
             held, lo = held + hi - lo, hi
             if held == _CHUNK_ROWS:
-                yield _chunk_text(pieces)
+                # The pieces go before the text is written, and the text
+                # before the next chunk's pieces are built.
+                text = _chunk_text(pieces)
                 pieces, held = [], 0
+                yield text
+                del text
         del piece  # the point's arrays go before the next point's are built
     if pieces:
         yield _chunk_text(pieces)

@@ -206,6 +206,27 @@ class MarketBatch:
     and advertisement rows still broadcast over its agents. ``penalties``
     adds its sigmoid table, run_size + 1 float64s per distinct beta.
 
+    ``choose`` skips the rows that cannot change. A row that abstained
+    has every score below min_utility (-inf without a floor), and a
+    score only rises when ``commit_round`` raises its cell: an unraised
+    cell's cache never rises, a consumed cell becomes -inf, and
+    ``penalties`` never fall (counts only grow, ads are >= 0, each row of
+    the sigmoid table is non-decreasing and IEEE subtraction is
+    monotone). So ``choose`` leaves ``_dormant``, a mask of the rows that
+    abstained (None when none did), and ``commit_round`` records in
+    ``_raised`` the flat indices of the cells it raises in those rows,
+    nothing while no row is dormant. The next ``choose`` (``_awake``)
+    wakes a dormant row only if one of those cells, or one of the columns
+    from ``_chosen`` (m at the last choose) up to m, reaches the floor,
+    comparing the same score - penalty doubles as a full scan, and
+    ``_scan`` argmaxes the awake rows only: last round's consumers and
+    the rows it woke. That costs 1 B per row plus 8 B per raised cell of
+    a dormant row, per round. With no row dormant, ``choose`` walks
+    every row through ``_blocks``. ``penalties`` checks the sigmoid table
+    where it builds it; a market whose table falls anywhere
+    (``_monotone`` False) always scans every row. ``_grow`` drops the
+    record, whose flat indices the new capacity makes stale.
+
     A MarketState is a batch of one run whose ``counts`` and
     ``advertisement`` have no run axis; the methods here index them as
     ``[..., :m]`` or flatten them, so they serve both.
@@ -215,7 +236,7 @@ class MarketBatch:
         "params", "run_params", "runs", "run_size", "graph", "mode", "round",
         "m", "m_initial", "liking", "tolerance", "advertisement", "intro_rounds",
         "consumed", "counts", "nbr_counts", "scores", "_scratch", "_scored",
-        "_denom", "_gamma", "_sigmoid",
+        "_denom", "_gamma", "_sigmoid", "_monotone", "_dormant", "_raised", "_chosen",
     )
 
     def __init__(
@@ -296,19 +317,21 @@ class MarketBatch:
         # the largest degree; the graph never changes, so neither does that.
         self.consumed = np.zeros((rows, cap), dtype=np.int16)
         self.counts = np.zeros((runs, cap), dtype=np.int64)
-        degrees = self.graph.degrees
+        # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
+        # the +0.0 that decide_round leaves where deg == 0. Degrees are
+        # below 2^53, so the float64 maximum is exact.
+        self._denom = np.maximum(self.graph.degrees, 1, dtype=np.float64)
         self.nbr_counts = np.zeros((rows, cap),
-                                   dtype=np.min_scalar_type(int(degrees.max())))
+                                   dtype=np.min_scalar_type(int(self._denom.max())))
         self.scores, self._scratch = np.empty((rows, cap)), np.empty(max(BLOCK_CELLS, cap))
         self._scored = 0
-        # max(deg, 1): an isolated agent has counts of 0, and 0 / 1 gives
-        # the +0.0 that decide_round leaves where deg == 0.
-        self._denom = np.maximum(degrees, 1).astype(np.float64)
         # One gamma when the runs agree, else a column of each row's gamma.
         gammas = [q.gamma for q in run_params]
         self._gamma = self.params.gamma if len(set(gammas)) == 1 else (
             np.repeat(np.array(gammas, dtype=np.float64), n)[:, None])
         self._sigmoid = None
+        self._monotone = True
+        self._forget_dormant()
 
     @property
     def n_agents(self) -> int:
@@ -326,27 +349,99 @@ class MarketBatch:
         ``penalties`` (fashion mode only) and takes each row's argmax, ties
         to the lowest item id. An agent abstains when nothing is left for
         it (best score -inf) or its best score is below min_utility.
+
+        Only the rows ``_awake`` names are scanned while some rows are
+        dormant (see the class docstring); the others abstain again.
         """
         self._score_columns()
         rows, m = self.n_agents, self.m
-        index = np.arange(rows)
-        if self.mode == "fashion":
-            pen = self.penalties().reshape(-1, 1, m)
-            choice, best = np.empty(rows, dtype=np.intp), np.empty(rows)
-            for runs, lo, hi in self._blocks(m):
-                out = self._scratch[:(hi - lo) * m].reshape(runs.stop - runs.start, -1, m)
-                np.subtract(self.scores[lo:hi, :m].reshape(out.shape), pen[runs], out=out)
-                out = out.reshape(hi - lo, m)
-                out.argmax(axis=1, out=choice[lo:hi])  # first max = lowest id
-                best[lo:hi] = out[index[:hi - lo], choice[lo:hi]]
+        fashion = self.mode == "fashion"
+        pen = self.penalties().reshape(-1, m) if fashion else None
+        awake = self._awake(pen)
+        if awake is None:
+            index = np.arange(rows)
+            if fashion:
+                choice, best = np.empty(rows, dtype=np.intp), np.empty(rows)
+                for runs, lo, hi in self._blocks(m):
+                    out = self._scratch[:(hi - lo) * m].reshape(runs.stop - runs.start, -1, m)
+                    np.subtract(self.scores[lo:hi, :m].reshape(out.shape), pen[runs, None],
+                                out=out)
+                    out = out.reshape(hi - lo, m)
+                    out.argmax(axis=1, out=choice[lo:hi])  # first max = lowest id
+                    best[lo:hi] = out[index[:hi - lo], choice[lo:hi]]
+            else:
+                scores = self.scores[:, :m]
+                choice = scores.argmax(axis=1)  # first max = lowest id
+                best = scores[index, choice]
         else:
-            scores = self.scores[:, :m]
-            choice = scores.argmax(axis=1)  # first max = lowest id
-            best = scores[index, choice]
+            choice, best = self._scan(awake, pen)
+        keep = self._clears_floor(best)
+        agents, choice = np.flatnonzero(keep) if awake is None else awake[keep], choice[keep]
+        self._forget_dormant()
+        if self._monotone and len(agents) < rows:
+            self._dormant = np.ones(rows, dtype=np.bool_)
+            self._dormant[agents] = False
+            self._chosen = m
+        return agents, choice
+
+    def _clears_floor(self, scores: np.ndarray) -> np.ndarray:
+        """Where a score lets its agent consume: at or above min_utility,
+        or above -inf when there is no floor."""
         floor = self.params.min_utility
-        keep = best != -np.inf if floor is None else best >= float(floor)
-        agents = np.flatnonzero(keep)
-        return agents, choice[agents]
+        return scores != -np.inf if floor is None else scores >= float(floor)
+
+    def _forget_dormant(self) -> None:
+        """Drop the skip state: the next choose scans every row."""
+        self._dormant, self._raised, self._chosen = None, [], 0
+
+    def _awake(self, pen: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """The agent rows choose must scan, ascending, or None for all of
+        them: the rows that were not dormant, and the dormant rows that
+        one of their raised cells, or one of the columns new since the
+        last choose, lets consume. pen is penalties() as (runs, m), None
+        in cultural mode."""
+        dormant = self._dormant
+        if dormant is None:
+            return None
+        m, n, cap = self.m, self.run_size, self.scores.shape[1]
+        wake = ~dormant
+        if self._raised:
+            flat = np.concatenate(self._raised)
+            cells = self.scores.reshape(-1).take(flat)
+            r, c = np.divmod(flat, cap)
+            if pen is not None:
+                cells -= pen[r // n, c]
+            wake[r[self._clears_floor(cells)]] = True
+        if m > self._chosen:
+            rows = np.flatnonzero(dormant)
+            h = max(BLOCK_CELLS // (m - self._chosen), 1)
+            for lo in range(0, len(rows), h):
+                r = rows[lo:lo + h]
+                cells = self.scores[r, self._chosen:m]
+                if pen is not None:
+                    cells -= pen[r // n, self._chosen:m]
+                wake[r[self._clears_floor(cells).any(axis=1)]] = True
+        awake = np.flatnonzero(wake)
+        return None if len(awake) == self.n_agents else awake
+
+    def _scan(self, rows: np.ndarray, pen: Optional[np.ndarray]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """choose's argmax and best score of the given agent rows only,
+        gathered in chunks of at most BLOCK_CELLS cells; a chunk within one
+        run takes that run's penalty row."""
+        m, n = self.m, self.run_size
+        choice, best = np.empty(len(rows), dtype=np.intp), np.empty(len(rows))
+        h = max(BLOCK_CELLS // m, 1)
+        index = np.arange(min(h, len(rows)))
+        for lo in range(0, len(rows), h):
+            r = rows[lo:lo + h]
+            cells = self.scores[r, :m]
+            if pen is not None:
+                run = r[0] // n
+                cells -= pen[run] if r[-1] // n == run else pen[r // n]
+            cells.argmax(axis=1, out=choice[lo:lo + h])  # first max = lowest id
+            best[lo:lo + h] = cells[index[:len(r)], choice[lo:lo + h]]
+        return choice, best
 
     def _blocks(self, width: int) -> Iterator[Tuple[slice, int, int]]:
         """Agent rows lo..hi-1 in order, in blocks of at most BLOCK_CELLS
@@ -435,6 +530,7 @@ class MarketBatch:
         # A scalar of the array's dtype: NumPy's add.at takes a slow path
         # when the two differ (int32 with a Python int).
         nbr, one = self.nbr_counts.reshape(-1), self.nbr_counts.dtype.type(1)
+        dormant = self._dormant
         starts = self.graph.offsets[agents]
         lens = self.graph.offsets[agents + 1] - starts
         ends = np.cumsum(lens)
@@ -449,6 +545,8 @@ class MarketBatch:
             flat += cols
             np.add.at(nbr, flat, one)
             self._rescore(rows, cols, flat)
+            if dormant is not None:
+                self._raised.append(flat[dormant[rows]])
             lo = hi
         self.scores.reshape(-1).put(agents * cap + items, -np.inf)
 
@@ -513,6 +611,8 @@ class MarketBatch:
             table = np.array([[sigmoid(k / n, beta, center) for k in range(n + 1)]
                               for beta in betas.tolist()])
             self._sigmoid = (row.reshape(self.counts.shape[:-1] + (1,)), table)
+            # choose skips dormant rows only while no penalty can fall.
+            self._monotone = bool(np.all(table[:, 1:] >= table[:, :-1]))
         row, table = self._sigmoid
         return table[row, self.counts[..., :self.m]] * self.advertisement[..., :self.m]
 
@@ -557,6 +657,7 @@ class MarketBatch:
             setattr(self, name, new)
         if self._scratch.size < new_cap:
             self._scratch = np.empty(new_cap)
+        self._forget_dormant()  # the raised cells' flat indices are stale
 
 
 class MarketState(MarketBatch):

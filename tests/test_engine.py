@@ -632,6 +632,37 @@ class TestScoreTable:
             state.round += 1
 
 
+def awake_spy(monkeypatch):
+    """Record, for every choose, how many agent rows _awake leaves to scan
+    (all of them when it returns None)."""
+    scanned = []
+    awake = MarketBatch._awake
+
+    def spy(market, pen):
+        rows = awake(market, pen)
+        scanned.append(market.n_agents if rows is None else len(rows))
+        return rows
+
+    monkeypatch.setattr(MarketBatch, "_awake", spy)
+    return scanned
+
+
+def step_batch_against_the_reference(batch, rounds, intro_period, rngs):
+    """Step a market rounds times, introducing items every intro_period
+    rounds (fashion mode), hold each choose to decide_round and check
+    that the commit leaves the score cache whole."""
+    for _ in range(rounds):
+        if batch.mode == "fashion" and batch.round > 0 and batch.round % intro_period == 0:
+            introduce_items(batch, rngs)
+        want_agents, want_items = kernel.decide_round(batch)
+        agents, items = batch.choose()
+        assert agents.tolist() == want_agents.tolist()
+        assert items.tolist() == want_items.tolist()
+        batch.commit_round(agents, items, batch.round + 1)
+        batch.round += 1
+        assert_cache_is_whole(batch)
+
+
 class TestBlockedKernel:
     """choose and _score_columns walk the agent rows in blocks of at most
     model.BLOCK_CELLS cells through one buffer; any budget gives the full
@@ -684,16 +715,7 @@ class TestBlockedKernel:
     def test_a_mixed_batch_matches_decide_round_every_round(self, monkeypatch, budget):
         monkeypatch.setattr(model, "BLOCK_CELLS", budget)
         base, batch, rngs = self.mixed_batch()
-        for _ in range(base.rounds):
-            if batch.round > 0 and batch.round % 2 == 0:
-                introduce_items(batch, rngs)
-            want_agents, want_items = kernel.decide_round(batch)
-            agents, items = batch.choose()
-            assert agents.tolist() == want_agents.tolist()
-            assert items.tolist() == want_items.tolist()
-            batch.commit_round(agents, items, batch.round + 1)
-            batch.round += 1
-            assert_cache_is_whole(batch)
+        step_batch_against_the_reference(batch, base.rounds, 2, rngs)
         assert batch.counts.sum() > 0
 
     @pytest.mark.parametrize("budget", [1, 7, 60])
@@ -775,6 +797,123 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak / cells < 30
+
+
+class TestDormantRows:
+    """choose scans a row that abstained only when one of its raised cells
+    or a column introduced since reaches the floor; the others abstain
+    again without a scan, and the choices stay decide_round's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(3, 20),
+        m=st.integers(1, 5),
+        runs=st.integers(1, 3),
+        kind=st.sampled_from(["ring", "random", "small_world"]),
+        mode=st.sampled_from(["cultural", "fashion"]),
+        blend=st.sampled_from(["liking", "literal_consumption"]),
+        new_liking=st.sampled_from(["zero", "uniform"]),
+        floor=st.sampled_from([None, -0.2, 0.0, 0.3, 0.45, 0.6]),
+        ties=st.booleans(),
+        intro_period=st.integers(1, 3),
+        grow=st.booleans(),
+    )
+    def test_choose_matches_decide_round_every_round(self, seed, n, m, runs, kind, mode,
+                                                     blend, new_liking, floor, ties,
+                                                     intro_period, grow):
+        """Runs of one batch differ in beta and gamma; with ties the
+        catalog likings are rounded to tenths, so scores tie often; with
+        grow the market reserves no columns, so introductions grow it."""
+        base = SimulationConfig(
+            n_agents=n, m_initial=m, rounds=12,
+            topology=TopologySpec(kind=kind, k=2, p=0.3),
+            params=MarketParams(
+                beta=6.0, intro_period=intro_period, intro_batch=2,
+                intro_ads=(0.9, 0.0, 0.5), catalog_ads=0.3, new_item_liking=new_liking,
+                utility_social_blend=blend, min_utility=floor),
+            mode=mode, seed=seed,
+        )
+        configs = [replace(base, seed=seed + b, params=replace(base.params, gamma=g, beta=beta))
+                   for b, (g, beta) in enumerate([(0.6, 6.0), (1.0, 0.5), (0.3, 40.0)][:runs])]
+        rngs = [rng_from(c.seed) for c in configs]
+        with pytest.MonkeyPatch.context() as mp:
+            if grow:
+                mp.setattr(engine, "_final_item_count", lambda config: config.m_initial)
+            batch = engine._new_market(configs, rngs)
+        if ties:
+            np.round(batch.liking, 1, out=batch.liking)  # before the cache is first scored
+        step_batch_against_the_reference(batch, base.rounds, intro_period, rngs)
+
+    def test_a_raised_cell_and_a_new_column_wake_dormant_rows(self, monkeypatch):
+        """A ring of four, zero ads (no marketing, no penalty), gamma 0.5
+        and a floor of 0.3. Agent 0 consumes item 0; agents 1 to 3 score
+        below the floor and go dormant. Agent 0's consumption lifts agent
+        1's item 0 to 0.5 * 1/2 + 0.5 * 0.2 = 0.35 and agent 3's to 0.25;
+        a new item that agent 2 likes at 1.0 scores 0.5 for it. The next
+        choose scans agent 0 (last round's consumer) and wakes agents 1
+        and 2; agent 3 is not scanned. The market reserves a column for
+        the new item: growing the arrays would drop the dormant rows."""
+        scanned = awake_spy(monkeypatch)
+        liking = np.array([[1.0, 0.0], [0.2, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        state = MarketState(MarketParams(gamma=0.5, min_utility=0.3), build_ring(4, 2),
+                            "fashion", liking, np.ones(4), np.zeros(2), capacity=3)
+        agents, items = state.choose()
+        assert (agents.tolist(), items.tolist()) == ([0], [0])
+        assert state._dormant.tolist() == [False, True, True, True]
+        state.commit_round(agents, items, 1)
+        state.round = 1
+        state.append_items([0.0], np.array([[0.0], [0.0], [1.0], [0.0]]), intro_round=1)
+        want = kernel.decide_round(state)
+        agents, items = state.choose()
+        assert (agents.tolist(), items.tolist()) == ([1, 2], [0, 2])
+        assert (agents.tolist(), items.tolist()) == (want[0].tolist(), want[1].tolist())
+        assert scanned == [4, 3]
+        assert state._dormant.tolist() == [True, False, False, True]
+
+    def test_a_table_that_falls_keeps_full_scans(self, monkeypatch):
+        """A sigmoid that falls as the share grows lets a penalty fall, so
+        a dormant row could rise without a raised cell: the market sees
+        the table fall where it is built and scans every row, every
+        round, and still matches decide_round (which reads the same
+        table)."""
+        rising = model.sigmoid
+        monkeypatch.setattr(model, "sigmoid", lambda x, beta, center: 1.0 - rising(x, beta, center))
+        scanned = awake_spy(monkeypatch)
+        configs = catalog_like_configs()
+        rngs = [rng_from(c.seed) for c in configs]
+        batch = engine._new_market(configs, rngs)
+        step_batch_against_the_reference(batch, configs[0].rounds, 3, rngs)
+        assert not batch._monotone and batch._dormant is None
+        assert scanned == [batch.n_agents] * configs[0].rounds
+
+    def test_a_catalog_like_market_scans_fewer_rows(self, monkeypatch):
+        """catalog-wide's shape, scaled down: three betas, a utility floor
+        and the literal_consumption blend leave most rows abstaining, and
+        most rounds scan only a part of the rows."""
+        scanned = awake_spy(monkeypatch)
+        configs = catalog_like_configs()
+        rngs = [rng_from(c.seed) for c in configs]
+        batch = engine._new_market(configs, rngs)
+        step_batch_against_the_reference(batch, configs[0].rounds, 3, rngs)
+        assert batch._monotone
+        assert scanned[0] == batch.n_agents
+        assert sum(s < batch.n_agents for s in scanned) > len(scanned) // 2
+
+
+def catalog_like_configs():
+    """catalog-wide's sweep-beta batch at 30 agents and 200 items."""
+    base = SimulationConfig(
+        n_agents=30, m_initial=200, rounds=12,
+        topology=TopologySpec(kind="small_world", k=6, p=0.1),
+        params=MarketParams(
+            gamma=0.6, intro_period=3, intro_batch=5, intro_ads=(0.9, 0.5, 0.2),
+            catalog_ads=0.3, new_item_liking="uniform",
+            utility_social_blend="literal_consumption", min_utility=0.45),
+        mode="fashion", seed=11,
+    )
+    return [replace(base, seed=derive_seed(11, b), params=replace(base.params, beta=beta))
+            for b, beta in enumerate([1.0, 5.0, 10.0])]
 
 
 def penalties_per_item(state):
