@@ -492,11 +492,18 @@ def rescored(state):
 
 def assert_cache_is_whole(state):
     """Every live column of state.scores is scored and equals a
-    from-scratch rescore bit for bit."""
+    from-scratch rescore bit for bit; under a floor, each run's column
+    bound is at least the column's best cached score in that run."""
     m = state.m
     assert state._scored == m
     assert np.array_equal(state.scores[:, :m].view(np.int64),
                           rescored(state).scores[:, :m].view(np.int64))
+    if state.params.min_utility is None:
+        assert state._colmax is None
+    else:
+        assert state._colmax.shape == (state.runs, state.scores.shape[1])
+        best = state.scores[:, :m].reshape(state.runs, -1, m).max(axis=1)
+        assert np.all(state._colmax[:, :m] >= best)
 
 
 def step_against_the_reference(state):
@@ -632,19 +639,18 @@ class TestScoreTable:
             state.round += 1
 
 
-def awake_spy(monkeypatch):
-    """Record, for every choose, how many agent rows _awake leaves to scan
-    (all of them when it returns None)."""
-    scanned = []
-    awake = MarketBatch._awake
+def gather_spy(monkeypatch):
+    """Record the columns every choose gathers through _argmax (None when
+    it reads them all)."""
+    gathered = []
+    argmax = MarketBatch._argmax
 
-    def spy(market, pen):
-        rows = awake(market, pen)
-        scanned.append(market.n_agents if rows is None else len(rows))
-        return rows
+    def spy(market, pen, cols):
+        gathered.append(None if cols is None else cols.tolist())
+        return argmax(market, pen, cols)
 
-    monkeypatch.setattr(MarketBatch, "_awake", spy)
-    return scanned
+    monkeypatch.setattr(MarketBatch, "_argmax", spy)
+    return gathered
 
 
 def step_batch_against_the_reference(batch, rounds, intro_period, rngs):
@@ -799,10 +805,9 @@ class TestBlockedKernel:
         assert peak / cells < 30
 
 
-class TestDormantRows:
-    """choose scans a row that abstained only when one of its raised cells
-    or a column introduced since reaches the floor; the others abstain
-    again without a scan, and the choices stay decide_round's."""
+class TestColumnBounds:
+    """Under a floor, choose reads only the columns whose bound minus
+    penalty reaches it in some run, and the choices stay decide_round's."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -814,7 +819,7 @@ class TestDormantRows:
         mode=st.sampled_from(["cultural", "fashion"]),
         blend=st.sampled_from(["liking", "literal_consumption"]),
         new_liking=st.sampled_from(["zero", "uniform"]),
-        floor=st.sampled_from([None, -0.2, 0.0, 0.3, 0.45, 0.6]),
+        floor=st.sampled_from([None, -1.0, -0.2, 0.0, 0.3, 0.45, 0.6, 1.5]),
         ties=st.booleans(),
         intro_period=st.integers(1, 3),
         grow=st.booleans(),
@@ -824,7 +829,9 @@ class TestDormantRows:
                                                      intro_period, grow):
         """Runs of one batch differ in beta and gamma; with ties the
         catalog likings are rounded to tenths, so scores tie often; with
-        grow the market reserves no columns, so introductions grow it."""
+        grow the market reserves no columns, so introductions grow it.
+        Nothing ever clears a floor of 1.5, so no column is eligible, and
+        every column is at -1.0, so choose reads them all."""
         base = SimulationConfig(
             n_agents=n, m_initial=m, rounds=12,
             topology=TopologySpec(kind=kind, k=2, p=0.3),
@@ -845,63 +852,68 @@ class TestDormantRows:
             np.round(batch.liking, 1, out=batch.liking)  # before the cache is first scored
         step_batch_against_the_reference(batch, base.rounds, intro_period, rngs)
 
-    def test_a_raised_cell_and_a_new_column_wake_dormant_rows(self, monkeypatch):
+    def test_a_raised_cell_and_a_new_column_make_columns_eligible(self, monkeypatch):
         """A ring of four, zero ads (no marketing, no penalty), gamma 0.5
-        and a floor of 0.3. Agent 0 consumes item 0; agents 1 to 3 score
-        below the floor and go dormant. Agent 0's consumption lifts agent
-        1's item 0 to 0.5 * 1/2 + 0.5 * 0.2 = 0.35 and agent 3's to 0.25;
-        a new item that agent 2 likes at 1.0 scores 0.5 for it. The next
-        choose scans agent 0 (last round's consumer) and wakes agents 1
-        and 2; agent 3 is not scanned. The market reserves a column for
-        the new item: growing the arrays would drop the dormant rows."""
-        scanned = awake_spy(monkeypatch)
-        liking = np.array([[1.0, 0.0], [0.2, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        and a floor of 0.3. Every catalog score is below it (agent 1's item
+        1 at 0.5 * 0.2 = 0.1), so no column is eligible and every agent
+        abstains unread. Agent 0 then consumes item 1, which lifts agent
+        1's item 1 to 0.5 * 1/2 + 0.1 = 0.35 and agent 3's to 0.25; a new
+        item that agent 2 likes at 1.0 scores 0.5 for it. The next choose
+        gathers just those two of five columns. The market reserves no
+        column, so the introduction grows the bound with the arrays."""
+        gathered = gather_spy(monkeypatch)
+        liking = np.zeros((4, 4))
+        liking[1, 1] = 0.2
         state = MarketState(MarketParams(gamma=0.5, min_utility=0.3), build_ring(4, 2),
-                            "fashion", liking, np.ones(4), np.zeros(2), capacity=3)
+                            "fashion", liking, np.ones(4), np.zeros(4))
+        assert [a.tolist() for a in kernel.decide_round(state)] == [[], []]
         agents, items = state.choose()
-        assert (agents.tolist(), items.tolist()) == ([0], [0])
-        assert state._dormant.tolist() == [False, True, True, True]
-        state.commit_round(agents, items, 1)
+        assert (agents.tolist(), items.tolist()) == ([], [])
+        assert gathered == []
+        state.commit_round(np.array([0]), np.array([1]), 1)
         state.round = 1
         state.append_items([0.0], np.array([[0.0], [0.0], [1.0], [0.0]]), intro_round=1)
+        assert state._colmax.shape == (1, state.scores.shape[1]) and state.m == 5
         want = kernel.decide_round(state)
         agents, items = state.choose()
-        assert (agents.tolist(), items.tolist()) == ([1, 2], [0, 2])
+        assert (agents.tolist(), items.tolist()) == ([1, 2], [1, 4])
         assert (agents.tolist(), items.tolist()) == (want[0].tolist(), want[1].tolist())
-        assert scanned == [4, 3]
-        assert state._dormant.tolist() == [True, False, False, True]
+        assert gathered == [[1, 4]]
+        assert_cache_is_whole(state)
 
-    def test_a_table_that_falls_keeps_full_scans(self, monkeypatch):
-        """A sigmoid that falls as the share grows lets a penalty fall, so
-        a dormant row could rise without a raised cell: the market sees
-        the table fall where it is built and scans every row, every
-        round, and still matches decide_round (which reads the same
-        table)."""
+    def test_a_table_that_falls_still_matches(self, monkeypatch):
+        """A sigmoid that falls as the share grows lets a penalty fall from
+        one round to the next. The bound is compared with each round's own
+        penalties, so choose still gathers the eligible columns and
+        matches decide_round (which reads the same table) every round."""
         rising = model.sigmoid
         monkeypatch.setattr(model, "sigmoid", lambda x, beta, center: 1.0 - rising(x, beta, center))
-        scanned = awake_spy(monkeypatch)
-        configs = catalog_like_configs()
+        gathered = gather_spy(monkeypatch)
+        configs = catalog_like_configs(min_utility=0.3)
         rngs = [rng_from(c.seed) for c in configs]
         batch = engine._new_market(configs, rngs)
+        batch.penalties()  # builds the table
+        table = batch._sigmoid[1]
+        assert np.all(table[:, 1:] <= table[:, :-1]) and np.any(table[:, 1:] < table[:, :-1])
         step_batch_against_the_reference(batch, configs[0].rounds, 3, rngs)
-        assert not batch._monotone and batch._dormant is None
-        assert scanned == [batch.n_agents] * configs[0].rounds
+        assert batch.counts.sum() > 0
+        assert any(cols is not None for cols in gathered)
 
-    def test_a_catalog_like_market_scans_fewer_rows(self, monkeypatch):
+    def test_a_catalog_like_market_gathers_few_columns(self, monkeypatch):
         """catalog-wide's shape, scaled down: three betas, a utility floor
-        and the literal_consumption blend leave most rows abstaining, and
-        most rounds scan only a part of the rows."""
-        scanned = awake_spy(monkeypatch)
+        and the literal_consumption blend leave few columns that can clear
+        the floor, so most rounds gather fewer than half the live ones."""
+        gathered = gather_spy(monkeypatch)
         configs = catalog_like_configs()
         rngs = [rng_from(c.seed) for c in configs]
         batch = engine._new_market(configs, rngs)
         step_batch_against_the_reference(batch, configs[0].rounds, 3, rngs)
-        assert batch._monotone
-        assert scanned[0] == batch.n_agents
-        assert sum(s < batch.n_agents for s in scanned) > len(scanned) // 2
+        assert batch.counts.sum() > 0
+        few = [cols for cols in gathered if cols is not None]
+        assert len(few) > configs[0].rounds // 2
 
 
-def catalog_like_configs():
+def catalog_like_configs(min_utility=0.45):
     """catalog-wide's sweep-beta batch at 30 agents and 200 items."""
     base = SimulationConfig(
         n_agents=30, m_initial=200, rounds=12,
@@ -909,7 +921,7 @@ def catalog_like_configs():
         params=MarketParams(
             gamma=0.6, intro_period=3, intro_batch=5, intro_ads=(0.9, 0.5, 0.2),
             catalog_ads=0.3, new_item_liking="uniform",
-            utility_social_blend="literal_consumption", min_utility=0.45),
+            utility_social_blend="literal_consumption", min_utility=min_utility),
         mode="fashion", seed=11,
     )
     return [replace(base, seed=derive_seed(11, b), params=replace(base.params, beta=beta))

@@ -103,12 +103,11 @@ def test_the_check_sees_an_unread_private_name():
         ("a", 2, "_UNUSED"), ("a", 3, "_walk"), ("a", 7, "_Old")]
 
 
-# The market's score cache, the record of its dormant rows, and the
-# methods that fill or read them.
+# The market's score cache, its column bounds, and the methods that fill
+# or read them.
 CACHE_NAMES = {"scores", "_scored", "_score", "_score_columns", "_rescore", "_blocks",
                "_scratch", "_denom", "_gamma", "choose", "commit_round",
-               "_monotone", "_dormant", "_raised", "_chosen", "_awake", "_scan",
-               "_clears_floor", "_forget_dormant"}
+               "_colmax", "_eligible", "_argmax"}
 
 
 def cache_reads(source: str, function: str):
