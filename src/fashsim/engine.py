@@ -53,7 +53,7 @@ DEFAULT_SEED = 42
 # (agent, item-capacity) cells, about 5.0 MB at 19 bytes per cell (liking
 # f8, consumed i2, nbr_counts u1 below degree 256 and the score cache f8,
 # plus one block buffer of model.BLOCK_CELLS per market); stepping a full
-# batch of the paper's runs peaks at about 29 bytes per cell with the
+# batch of the paper's runs peaks at 28.7 bytes per cell with the
 # temporaries and the per-round counts (tracemalloc). The times and peaks
 # below were taken at 24 bytes per cell. A run larger than the budget is a
 # batch of one. The paper's experiment (ring, 100 runs x 11 advertisement

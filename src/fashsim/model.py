@@ -181,12 +181,14 @@ class MarketBatch:
     literal_consumption blend drops the liking term, as in
     ``kernel.decide_round``. Its first ``_scored`` columns are current:
     ``choose`` scores the columns from there up to m, and ``commit_round``
-    scores them too, then re-scores the cells whose neighbour counts it
-    raised, so it always leaves the cache whole. Both go through
-    ``_score``, the one copy of the formula: every cell goes through the
-    same IEEE-754 operations in the same order as ``decide_round``, so
-    ``choose`` returns what ``kernel.decide_round(market)``, the full
-    recompute, returns, bit for bit, whichever runs share the batch.
+    scores them too, then re-scores the open cells whose neighbour counts
+    it raised (a consumed cell stays -inf whatever its count), so it always
+    leaves the cache whole. Both go through ``_score``, the one copy of the
+    formula; ``_score_columns`` then sets the consumed cells of its block
+    to -inf. Every cell goes through the same IEEE-754 operations in the
+    same order as ``decide_round``, so ``choose`` returns what
+    ``kernel.decide_round(market)``, the full recompute, returns, bit for
+    bit, whichever runs share the batch.
     Writes to the arrays other than ``commit_round``'s are not followed.
     The market owns the cache and its scratch buffer, so batches on
     different threads share no memory.
@@ -198,7 +200,8 @@ class MarketBatch:
     converts to float64 exactly, so the narrow types change no score.
     ``commit_round`` gathers the cells it raises in chunks of at most
     BLOCK_CELLS cells, so its temporaries do not grow with the market
-    either. The scratch buffer is one block of
+    either; a chunk of consecutive consumers reads its neighbour rows as
+    one slice of the graph's targets. The scratch buffer is one block of
     max(BLOCK_CELLS, capacity) float64s, whatever the row count:
     ``_score_columns`` and ``choose`` (fashion mode) walk the rows in
     blocks of at most BLOCK_CELLS cells that never cross a run boundary
@@ -432,10 +435,11 @@ class MarketBatch:
                     yield slice(r, r + 1), lo, min(lo + h, (r + 1) * n)
 
     def _score_columns(self) -> None:
-        """Score columns _scored to m in place, block by block through
-        (runs, rows, columns) views, the scratch buffer (free until choose
-        subtracts the penalties) holding each added term and then the
-        consumed flags, so no temporary grows with the market."""
+        """Score columns _scored to m in place, consumed cells -inf, block
+        by block through (runs, rows, columns) views, the scratch buffer
+        (free until choose subtracts the penalties) holding each added term
+        and then the consumed flags, so no temporary grows with the
+        market."""
         lo, hi = self._scored, self.m
         if hi == lo:
             return
@@ -446,10 +450,12 @@ class MarketBatch:
             def cell(a):
                 return a[first:last, lo:hi].reshape(shape)
 
+            term = self._scratch[:(last - first) * w]
             out = self._score(cell, lambda a: a[first:last].reshape(shape[:2] + (1,)),
                               lambda a: a.reshape(-1, 1, cap)[runs, :, lo:hi],
-                              out=cell(self.scores),
-                              term=self._scratch[:(last - first) * w].reshape(shape))
+                              out=cell(self.scores), term=term.reshape(shape))
+            flags = term.view(np.bool_)[:term.size].reshape(out.shape)
+            np.copyto(out, -np.inf, where=np.not_equal(cell(self.consumed), 0, out=flags))
             if self._colmax is not None:  # a run may span several blocks
                 bound = self._colmax[runs, lo:hi]
                 np.maximum(bound, out.max(axis=1), out=bound)
@@ -464,14 +470,15 @@ class MarketBatch:
         add or store, so the result equals committing each pair alone, in
         any order. The whole batch is validated before anything is written.
 
-        The live columns not yet scored are scored first and every label is
-        written; then the consumers are taken in chunks whose neighbour
-        rows hold at most BLOCK_CELLS cells, so the gathers stay cache-sized
-        and do not grow with the market. Each chunk raises its cells'
-        neighbour counts and re-scores them; a cell raised by several
-        chunks is re-scored after each, the last time from its final count.
-        The consumed pairs are then set to -inf, so the score cache is left
-        whole.
+        The live columns not yet scored are scored first, and every label
+        is written and its cell set to -inf, through one flat index of the
+        pairs. Then the consumers are taken in chunks whose neighbour rows
+        hold at most BLOCK_CELLS cells, so the gathers stay cache-sized and
+        do not grow with the market. Each chunk raises the neighbour count
+        of every cell it reaches, consumed or not, and re-scores only the
+        open ones: a consumed cell's score is -inf whatever its count. A
+        cell raised by several chunks is re-scored after each, the last
+        time from its final count, so the score cache is left whole.
         """
         _check_round(round_no)
         agents = np.asarray(agents, dtype=np.int64)
@@ -485,7 +492,12 @@ class MarketBatch:
                              % self.n_agents)
         if items.min() < 0 or items.max() >= self.m:
             raise ValueError("items: ids must be in [0, %d)" % self.m)
-        seen = self.consumed[agents, items] != 0
+        cap = self.consumed.shape[1]
+        # consumed, nbr_counts and scores are allocated C-contiguous (by
+        # __init__ and _grow), so the reshapes are views and the flat writes
+        # land in them.
+        cells = agents * cap + items
+        seen = self.consumed.take(cells) != 0
         if seen.any():
             k = int(np.argmax(seen))
             raise ValueError("agent %d already consumed item %d" % (agents[k], items[k]))
@@ -493,14 +505,16 @@ class MarketBatch:
         self._score_columns()
         if round_no > np.iinfo(self.consumed.dtype).max:
             self.consumed = self.consumed.astype(CONSUMED_DTYPE)
-        self.consumed[agents, items] = round_no
-        cap = self.consumed.shape[1]
+        consumed = self.consumed.reshape(-1)
+        consumed.put(cells, round_no)
+        # The chunks below re-score only open cells, so the pairs consumed
+        # now keep this -inf; the index goes before the chunks' gathers.
+        self.scores.reshape(-1).put(cells, -np.inf)
+        del cells
         # counts flattened: run r's item a is r * cap + a (on a MarketState
         # every agent is in run 0, so the index is the item id).
         counts = self.counts.reshape(-1)
         counts += np.bincount(agents // self.run_size * cap + items, minlength=counts.size)
-        # nbr_counts and scores are allocated C-contiguous (by __init__ and
-        # _grow), so the reshapes are views and the flat writes land in them.
         # A scalar of the array's dtype: NumPy's add.at takes a slow path
         # when the two differ (int32 with a Python int).
         nbr, one = self.nbr_counts.reshape(-1), self.nbr_counts.dtype.type(1)
@@ -517,23 +531,39 @@ class MarketBatch:
             flat = rows * cap
             flat += cols
             np.add.at(nbr, flat, one)
+            # Only the cells still open can change score: a consumed one
+            # holds -inf whatever its count. Each name is rebound at once,
+            # so only the index and one array's old and new copies are
+            # extra chunk-sized arrays at a time.
+            live = np.flatnonzero(consumed.take(flat) == 0)
+            flat = flat.take(live)
+            rows = rows.take(live)
+            cols = cols.take(live)
+            del live
             self._rescore(rows, cols, flat)
             lo = hi
-        self.scores.reshape(-1).put(agents * cap + items, -np.inf)
 
     def _neighbour_cells(self, starts: np.ndarray, lens: np.ndarray,
                          items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The neighbour rows of consumers whose CSR rows start at starts
         and hold lens targets, and each consumer's item repeated once per
-        neighbour."""
+        neighbour. When the CSR rows are adjacent (a run of consecutive
+        agents consumes, as every agent does each round of the paper's
+        experiment), the rows are one slice of the targets, a view, and
+        no positions are built."""
         ends = np.cumsum(lens)
-        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-        return self.graph.targets[pos], np.repeat(items, lens)
+        if starts[-1] - starts[0] == ends[-1] - lens[-1]:
+            rows = self.graph.targets[starts[0]:starts[0] + ends[-1]]
+        else:
+            pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+            rows = self.graph.targets[pos]
+        return rows, np.repeat(items, lens)
 
     def _rescore(self, rows: np.ndarray, cols: np.ndarray, flat: np.ndarray) -> None:
         """Re-score the cells (rows, cols), flat index flat, repeats
         allowed, from gathers (take reads its array flattened), and raise
-        their columns' bounds to them."""
+        their columns' bounds to them. They must all be open: _score does
+        not set consumed cells to -inf."""
         cap = self.scores.shape[1]
         c = self._score(lambda a: a.take(flat), lambda a: a.take(rows),
                         lambda a: a.take(rows // self.run_size * cap + cols))
@@ -546,10 +576,11 @@ class MarketBatch:
         cell selects from a per-cell array, row from a per-row array and
         ads from advertisement, written into out (allocated when None).
 
-        term, a buffer of the cells' shape, holds each added term and then
-        the consumed flags. Without it each term overwrites its own first
-        selection, so the selections must then be fresh gathers, never
-        views of the market.
+        Every cell is scored as open: the caller sets the consumed ones to
+        -inf (``_score_columns``) or passes none (``_rescore``). term, a
+        buffer of the cells' shape, holds each added term. Without it each
+        term overwrites its own first selection, so the selections must
+        then be fresh gathers, never views of the market.
         """
         g = self._gamma
         if np.ndim(g):
@@ -560,9 +591,6 @@ class MarketBatch:
             c += _product(cell(self.liking), 1.0 - g, term)
         if self.mode == "fashion":
             c += _product(row(self.tolerance), ads(self.advertisement), term)
-        flags = None if term is None else (
-            term.reshape(-1).view(np.bool_)[:term.size].reshape(term.shape))
-        np.copyto(c, -np.inf, where=np.not_equal(cell(self.consumed), 0, out=flags))
         return c
 
     def penalties(self) -> np.ndarray:

@@ -805,6 +805,99 @@ class TestBlockedKernel:
         assert peak / cells < 30
 
 
+def path_spy(monkeypatch):
+    """Record, for every chunk commit_round gathers, whether its neighbour
+    rows came as one slice of the graph's targets (True) or by position."""
+    paths = []
+    neighbour_cells = MarketBatch._neighbour_cells
+
+    def spy(market, starts, lens, items):
+        rows, cols = neighbour_cells(market, starts, lens, items)
+        paths.append(np.shares_memory(rows, market.graph.targets))
+        return rows, cols
+
+    monkeypatch.setattr(MarketBatch, "_neighbour_cells", spy)
+    return paths
+
+
+class TestCommitPaths:
+    """commit_round reads a chunk of consecutive consumers' neighbour rows
+    as one slice of the graph's targets and any other chunk by position;
+    either way it counts every cell it reaches, consumed or not, and
+    re-scores only the open ones."""
+
+    # Every row of the 12 agents (degrees 4, 4, 4, 3, 3, 0, 3, 3, 4, 4, 4,
+    # 4) goes in chunks [0, 1] [2, 3] [4, 5, 6] [7, 8] [9, 10] [11] at a
+    # budget of 8 cells; the gapped rows [0, 2] and [7, 9] go in two.
+    EVERY_ROW = (list(range(12)), [2, 2, 0, 2, 0, 2, 0, 1, 2, 1, 0, 1])
+    GAPPED = ([0, 2, 7, 9], [0, 0, 1, 2])
+
+    def market(self, mode, floor):
+        """A ring of 12 agents (k = 4) with agent 5 cut out, 3 items; in
+        round 1 agents 1, 3 and 8 consumed item 0 and agent 6 item 1, so
+        round 2's commits reach cells consumed before it."""
+        ring = build_ring(12, 4)
+        graph = SocialGraph.from_adjacency(
+            {i: [j for j in ring.neighbor_array(i).tolist() if 5 not in (i, j)]
+             for i in range(12)})
+        assert graph.degree(5) == 0
+        rng = rng_from(17)
+        state = MarketState(MarketParams(gamma=0.6, min_utility=floor), graph, mode,
+                            liking=rng.random((12, 3)), tolerance=1.0 - rng.random(12),
+                            advertisement=np.array([0.3, 0.0, 0.8]))
+        state.commit_round(np.array([1, 3, 6, 8]), np.array([0, 0, 1, 0]), 1)
+        state.round = 1
+        return state
+
+    @pytest.mark.parametrize("mode", ["cultural", "fashion"])
+    @pytest.mark.parametrize("floor", [None, 0.3])
+    @pytest.mark.parametrize("pairs, budget, want_paths", [
+        (EVERY_ROW, None, [True]),
+        (GAPPED, None, [False]),
+        (([4, 5, 6], [0, 2, 0]), None, [True]),  # agent 5 has no neighbours
+        (([2], [0]), None, [True]),
+        (EVERY_ROW, 8, [True] * 6),
+        (GAPPED, 8, [False, False]),
+    ], ids=["every-row", "gapped", "zero-degree", "one-consumer", "every-row-split",
+            "gapped-split"])
+    def test_matches_the_pairs_committed_by_hand(self, monkeypatch, mode, floor, pairs,
+                                                 budget, want_paths):
+        if budget is not None:
+            monkeypatch.setattr(model, "BLOCK_CELLS", budget)
+        state = self.market(mode, floor)
+        before, replay = copy.deepcopy(state), copy.deepcopy(state)
+        paths = path_spy(monkeypatch)
+        agents, items = (np.array(x) for x in pairs)
+        state.commit_round(agents, items, 2)
+        for i, a in zip(agents.tolist(), items.tolist()):
+            oracles.commit_by_hand(replay, i, a, 2)
+        assert paths == want_paths
+        assert_same_commits(state, replay)
+        fresh = rescored(replay)
+        assert np.array_equal(state.scores.view(np.int64), fresh.scores.view(np.int64))
+
+        # Every cell reached is counted; one consumed before this round or
+        # in it keeps -inf, and leaves the column bound as it was.
+        reached = [(j, a) for i, a in zip(agents.tolist(), items.tolist())
+                   for j in state.graph.neighbor_array(i).tolist()]
+        dead = [(j, a) for j, a in reached if state.consumed[j, a]]
+        assert any(before.consumed[j, a] for j, a in dead)
+        for j, a in dead:
+            assert state.scores[j, a] == -np.inf
+            assert state.nbr_counts[j, a] == before.nbr_counts[j, a] + reached.count((j, a))
+        if floor is not None:
+            want = before._colmax.copy()
+            for j, a in set(reached) - set(dead):
+                want[0, a] = max(want[0, a], fresh.scores[j, a])
+            assert np.array_equal(state._colmax, want)
+
+        state.round = 2
+        want_agents, want_items = kernel.decide_round(state)
+        got_agents, got_items = state.choose()
+        assert got_agents.tolist() == want_agents.tolist()
+        assert got_items.tolist() == want_items.tolist()
+
+
 class TestColumnBounds:
     """Under a floor, choose reads only the columns whose bound minus
     penalty reaches it in some run, and the choices stay decide_round's."""
