@@ -23,7 +23,10 @@ for sweep-beta. run and ensemble record none. Floats are serialized with
 17 significant digits ('.17g', which round-trips every float64), so
 identical invocations produce identical bytes. summary.json and
 manifest.json are json.dumps(payload, indent=2, sort_keys=True) and a
-newline.
+newline, written by json.dumps itself; a per-item block of summary.json
+(_Columns) goes in as a stand-in that is then replaced by the block
+spelled through one template per item, or as its dict when it is empty
+or holds a non-finite value.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime
 failure (e.g. unwritable output directory).
@@ -32,7 +35,6 @@ failure (e.g. unwritable output directory).
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -471,62 +473,52 @@ class _Columns:
         return {k: row[0] if self.fields is None else dict(zip(self.fields, row))
                 for k, row in zip(self.ids, zip(*self.columns))}
 
-
-def _json_text(obj, indent: str) -> str:
-    """obj as json.dumps(obj, indent=2, sort_keys=True) spells it, at the
-    nesting whose line break and indentation is indent. Raises TypeError on
-    anything but str-keyed dicts, lists, tuples, _Columns and JSON scalars
-    (a non-str key fails in encode_basestring_ascii)."""
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(obj.items())]
+    def text(self, indent: str) -> str:
+        """A plain, non-empty block as json.dumps(self.as_dict(), indent=2,
+        sort_keys=True) spells it at the nesting whose line break and
+        indentation is indent: one '%' template per item."""
+        inner = indent + "  "
+        item = "%s: %r" if self.fields is None else "%%s: {%s%s}" % (",".join(
+            inner + "  " + encode_basestring_ascii(f) + ": %r" for f in self.fields), inner)
+        items = [item % r for r in zip(map(encode_basestring_ascii, self.ids), *self.columns)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, _Columns):
-        if not (obj.plain and obj.ids):
-            return _json_text(obj.as_dict(), indent)
-        item = "%s: %r" if obj.fields is None else "%%s: {%s%s}" % (",".join(
-            inner + "  " + encode_basestring_ascii(f) + ": %r" for f in obj.fields), inner)
-        items = [item % r for r in zip(map(encode_basestring_ascii, obj.ids), *obj.columns)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(type(obj).__name__)
 
 
 def _json_dumps(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), the same text.
+    r"""json.dumps(payload, indent=2, sort_keys=True), the same text, with
+    each _Columns block as the dict it stands for.
 
-    With indent set, json runs its pure-Python encoder; this writes each
-    container in one join, and a plain _Columns block (the dict it stands
-    for) through one '%' template per item. Any payload it does not cover
-    (non-str keys, other types, cycles) goes to json.dumps itself, so that
-    output and errors stay json's.
+    json.dumps writes the payload once. A plain, non-empty block goes in as
+    a stand-in, the string "\0", which json spells "\u0000", and the
+    stand-in is then replaced by the block's own spelling (_Columns.text);
+    any other block goes in as its dict. When the text holds more
+    "\u0000"s than stand-ins (a payload string or key spells one too), the
+    payload is written again with every block as its dict. Anything else
+    json rejects raises json's own error.
     """
-    try:
-        return _json_text(payload, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(payload, indent=2, sort_keys=True, default=lambda o: (
-            o.as_dict() if isinstance(o, _Columns) else json.JSONEncoder().default(o)))
+    blocks = []
+
+    def default(obj):
+        if not isinstance(obj, _Columns):
+            return json.JSONEncoder().default(obj)  # json's TypeError
+        if blocks is None or not (obj.plain and obj.ids):
+            return obj.as_dict()
+        blocks.append(obj)
+        return "\0"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    if blocks and text.count("\\u0000") != len(blocks):
+        blocks = None  # a stand-in is forged: every block goes in as its dict
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    if not blocks:
+        return text
+    # json calls default in the order it writes, so the stand-ins come in
+    # the order of blocks; each is spelled at the indentation of its line.
+    pieces = text.split('"\\u0000"')
+    out = pieces[:1]
+    for block, piece in zip(blocks, pieces[1:]):
+        line = out[-1].rpartition("\n")[2]
+        out += (block.text("\n" + " " * (len(line) - len(line.lstrip(" ")))), piece)
+    return "".join(out)
 
 
 def _write_json(path: str, payload: Dict) -> None:

@@ -564,12 +564,14 @@ class MarketBatch:
         allowed, from gathers (take reads its array flattened), and raise
         their columns' bounds to them. They must all be open: _score does
         not set consumed cells to -inf."""
-        cap = self.scores.shape[1]
-        c = self._score(lambda a: a.take(flat), lambda a: a.take(rows),
-                        lambda a: a.take(rows // self.run_size * cap + cols))
+        # Each cell's run * cap + col, built once, and only for its readers:
+        # the ads gather (fashion mode) and the column bounds (a floor).
+        at = (rows // self.run_size * self.scores.shape[1] + cols
+              if self.mode == "fashion" or self._colmax is not None else None)
+        c = self._score(lambda a: a.take(flat), lambda a: a.take(rows), lambda a: a.take(at))
         self.scores.reshape(-1).put(flat, c)
-        if self._colmax is not None:  # at each cell's run * cap + col
-            np.maximum.at(self._colmax.reshape(-1), rows // self.run_size * cap + cols, c)
+        if self._colmax is not None:
+            np.maximum.at(self._colmax.reshape(-1), at, c)
 
     def _score(self, cell, row, ads, out=None, term=None) -> np.ndarray:
         """The cached score (see the class docstring) of the cells that

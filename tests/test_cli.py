@@ -942,6 +942,29 @@ class TestJsonWriter:
         assert json_outcome(_json_dumps, {"a": np.int64(3)})[0] is TypeError
         assert json_outcome(_json_dumps, loop)[0] is ValueError  # circular reference
 
+    @pytest.mark.parametrize("forged", ["\x00", "\x000", "\x001", "\x00\x00", "a\x00",
+                                        "\\u0000", '"\x00'])
+    @pytest.mark.parametrize("as_key", [False, True])
+    def test_a_payload_string_does_not_stand_in_for_a_block(self, forged, as_key):
+        """Payload strings or keys that spell what a stand-in for a block
+        might, before, between and after plain blocks at two depths."""
+        ids = np.array([2, 10, 0])
+        finals = ({"2": 0.25, "10": 0.5, "0": 1e-300}, np.array([0.25, 0.5, 1e-300]))
+        peaks = ({"2": {"peak_share": 0.5, "peak_share_round": 3},
+                  "10": {"peak_share": 0.75, "peak_share_round": 1},
+                  "0": {"peak_share": 1.0, "peak_share_round": 2}},
+                 {"peak_share_round": np.array([3, 1, 2]),
+                  "peak_share": np.array([0.5, 0.75, 1.0])})
+
+        def payload(side):
+            top = finals[0] if side == "dicts" else _Columns(ids, finals[1])
+            point = peaks[0] if side == "dicts" else _Columns(ids, peaks[1])
+            forgery = {forged: 1} if as_key else forged
+            return {"a": forgery, "final_shares": top, "m": [forgery],
+                    "points": [{"peak_stats": point, "value": forgery}, forgery], "z": forgery}
+        assert _Columns(ids, finals[1]).plain and _Columns(ids, peaks[1]).plain
+        assert _json_dumps(payload("columns")) == reference_dumps(payload("dicts"))
+
 
 # Every config key set to a value other than its default.
 ALL_KEYS_TEXT = """\
