@@ -54,7 +54,7 @@ from .engine import (
     run_ensemble,
 )
 from .graph import TopologySpec, check_choice, check_floats, check_int
-from .metrics import gini, quality_share_correlation
+from .metrics import gini, peak_table, quality_share_correlation
 from .model import MarketParams
 from .sweep import (
     OBJECTIVES,
@@ -526,38 +526,6 @@ def _write_json(path: str, payload: Dict) -> None:
         fh.write(_json_dumps(payload) + "\n")
 
 
-def _peak_block(obj) -> _Columns:
-    """Per-item share and rate peaks over the whole (R, M) table, as columns.
-
-    Gives what share_series, rate_series and peak_stats give item by item
-    (the scalar reference): an item's series covers its live rounds (those
-    after its intro round), the first live rate is its first live share,
-    and a peak is the first live round attaining the maximum. Items with no
-    live round, or whose live shares leave [0, 1] or decrease, are left out,
-    as ShareSeries rejects them. Rounds are strictly increasing (1..R), so
-    each item's live rounds are a suffix of them.
-    """
-    values = obj.mean_share if isinstance(obj, EnsembleResult) else obj.shares
-    rounds = np.asarray(obj.rounds)
-    live = rounds[:, None] > np.asarray(obj.intro_rounds)[None, :]
-    in_range = (values >= 0.0) & (values <= 1.0)
-    decreasing = live[:-1] & (values[1:] < values[:-1])
-    keep = (live.any(axis=0) & (in_range | ~live).all(axis=0)
-            & ~decreasing.any(axis=0))
-    cols = np.flatnonzero(keep)
-    values = values[:, cols]
-    live = live[:, cols]
-    shares = np.where(live, values, 0.0)
-    rates = np.diff(shares, axis=0, prepend=0.0)
-    share_idx = np.where(live, shares, -np.inf).argmax(axis=0)
-    rate_idx = np.where(live, rates, -np.inf).argmax(axis=0)
-    at = np.arange(len(cols))
-    return _Columns(np.asarray(obj.item_ids)[cols], {
-        "peak_share": shares[share_idx, at], "peak_share_round": rounds[share_idx],
-        "final_share": values[-1],
-        "peak_rate": rates[rate_idx, at], "peak_rate_round": rounds[rate_idx]})
-
-
 def _safe_gini(finals) -> Optional[float]:
     try:
         return gini(np.asarray(finals, dtype=np.float64))
@@ -575,7 +543,7 @@ def _trace_summary(trace: Trace) -> Dict:
         "final_shares": _Columns(trace.item_ids, trace.final_shares),
         "gini": _safe_gini(trace.final_shares),
         "quality_share_correlation": corr,
-        "peak_stats": _peak_block(trace),
+        "peak_stats": _Columns(*peak_table(trace)),
     }
 
 
@@ -595,7 +563,7 @@ def _ensemble_summary(ens: EnsembleResult) -> Dict:
         "quality_share_correlation": corr_mean,
         "quality_share_correlation_std": corr_std,
         "quality_share_correlation_runs": len(corrs),
-        "peak_stats": _peak_block(ens),
+        "peak_stats": _Columns(*peak_table(ens)),
     }
 
 

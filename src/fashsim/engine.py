@@ -438,15 +438,15 @@ def _in_order(fn, items: Sequence, jobs: int) -> Iterator:
     threads runs at most jobs + 1 items ahead of the consumer."""
     if jobs == 1 or len(items) == 1:
         yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        ahead = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) > jobs:
+    else:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            ahead = deque()
+            for item in items:
+                ahead.append(pool.submit(fn, item))
+                if len(ahead) > jobs:
+                    yield ahead.popleft().result()
+            while ahead:
                 yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
 
 
 def run_ensembles(configs: Sequence[SimulationConfig], runs: int,

@@ -5,10 +5,9 @@ peaks in shares cannot show an item falling out of favor. The per-round
 consumption rate (first difference of the share series) can, and the peak
 helpers here are meant to be pointed at rate series for that question.
 
-The CLI's summary computes every item's peaks at once over the whole
-(rounds, items) table, as one column per field (cli._peak_block);
-share_series, rate_series and peak_stats are the scalar reference that
-its written text is tested against.
+peak_table computes every item's peaks at once over the whole (rounds,
+items) table; summary.json's peak_stats is its output. share_series and
+rate_series read one column through the same rule (_table).
 """
 
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ __all__ = [
     "rate_series",
     "PeakStats",
     "peak_stats",
+    "peak_table",
 ]
 
 
@@ -117,19 +117,20 @@ class ShareSeries:
             raise ValueError("shares: cumulative series cannot decrease")
 
 
+def _table(obj: Union[Trace, EnsembleResult], cols):
+    """Rounds, shares (an ensemble's mean) and live mask of obj's columns
+    cols; an item entering at round r is live from round r + 1."""
+    values = obj.mean_share if isinstance(obj, EnsembleResult) else obj.shares
+    rounds = np.asarray(obj.rounds)
+    return rounds, values[:, cols], np.greater.outer(rounds, np.asarray(obj.intro_rounds)[cols])
+
+
 def _series_source(obj: Union[Trace, EnsembleResult], item_id: int):
-    ids = np.asarray(obj.item_ids)
-    matches = np.flatnonzero(ids == item_id)
+    matches = np.flatnonzero(np.asarray(obj.item_ids) == item_id)
     if len(matches) == 0:
         raise ValueError("item id %r not present in this result" % (item_id,))
     col = int(matches[0])
-    if isinstance(obj, EnsembleResult):
-        values = obj.mean_share[:, col]
-    else:
-        values = obj.shares[:, col]
-    intro = int(obj.intro_rounds[col])
-    rounds = np.asarray(obj.rounds)
-    live = rounds > intro  # an item entering at round r first trades in round r+1
+    rounds, values, live = _table(obj, col)
     if not live.any():
         raise ValueError("item %r never entered the recorded window" % (item_id,))
     return rounds[live], values[live], float(obj.advertisements[col])
@@ -176,7 +177,8 @@ def peak_stats(series, rounds: Sequence[int] = None) -> PeakStats:
     1..len), or a value sequence plus explicit round labels. Works equally
     on share series and on rate series; only rates can reveal an item that
     stopped attracting new consumers, since shares are cumulative.
-    NaN or infinite values are rejected.
+    NaN or infinite values are rejected. It keeps its own argmax, as it
+    takes any value sequence and round labels, not only a result's table.
     """
     if isinstance(series, ShareSeries):
         values = np.asarray(series.shares, dtype=np.float64)
@@ -199,3 +201,27 @@ def peak_stats(series, rounds: Sequence[int] = None) -> PeakStats:
         peak_round=int(rounds[idx]),
         final=float(values[-1]),
     )
+
+
+def peak_table(obj: Union[Trace, EnsembleResult]):
+    """Every item's peaks at once: (item_ids, {field: column}), column i
+    being what peak_stats gives on item_ids[i]'s share_series and
+    rate_series. Items with no live round, or whose live shares leave
+    [0, 1] or decrease, are left out, as ShareSeries rejects them; a live
+    window is a suffix of the rounds, so its first rate is its first share.
+    """
+    rounds, values, live = _table(obj, slice(None))
+    in_range = (values >= 0.0) & (values <= 1.0)
+    decreasing = live[:-1] & (values[1:] < values[:-1])
+    cols = np.flatnonzero(live.any(axis=0) & (in_range | ~live).all(axis=0)
+                          & ~decreasing.any(axis=0))
+    values, live = values[:, cols], live[:, cols]
+    shares = np.where(live, values, 0.0)
+    rates = np.diff(shares, axis=0, prepend=0.0)
+    share_idx = np.where(live, shares, -np.inf).argmax(axis=0)
+    rate_idx = np.where(live, rates, -np.inf).argmax(axis=0)
+    at = np.arange(len(cols))
+    return np.asarray(obj.item_ids)[cols], {
+        "peak_share": shares[share_idx, at], "peak_share_round": rounds[share_idx],
+        "final_share": values[-1],
+        "peak_rate": rates[rate_idx, at], "peak_rate_round": rounds[rate_idx]}

@@ -26,14 +26,13 @@ from fashsim.cli import (
     _build_parser,
     _Columns,
     _json_dumps,
-    _peak_block,
     _trace_text,
     main,
     parse_config,
 )
 from fashsim.engine import SimulationConfig, run, run_ensemble
 from fashsim.graph import TopologySpec, build_ring
-from fashsim.metrics import peak_stats, rate_series, share_series
+from fashsim.metrics import peak_stats, peak_table, rate_series, share_series
 from fashsim.model import BLENDS, MODES, NEW_ITEM_LIKINGS, MarketBatch, MarketParams
 from fashsim.sweep import OBJECTIVES, SWEEP_PARAMETERS, SweepSpec, optimize_advertisement
 
@@ -263,6 +262,18 @@ class TestRunCommand:
             want_corr = None
         assert doc["quality_share_correlation"] == want_corr
         assert set(doc["peak_stats"]) == set(finals)
+
+    def test_a_market_where_every_agent_abstains(self, tmp_path, cfg_file):
+        """min_utility has no flag: a floor of 5 sits above every score, so
+        no one ever consumes and no share inequality is defined."""
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(Path(cfg_file).read_text(encoding="utf-8") + "min_utility = 5\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(read(out / "summary.json"))
+        assert set(doc["final_shares"].values()) == {0.0}
+        assert doc["gini"] is None and doc["quality_share_correlation"] is None
 
     def test_manifest_records_the_resolved_config(self, tmp_path, cfg_file):
         out = tmp_path / "o"
@@ -535,14 +546,24 @@ def edge_case_results():
 class TestColumnwiseWriters:
     def test_peak_block_matches_the_metrics_helpers(self):
         cfg = SimulationConfig(n_agents=12, m_initial=6, rounds=8, seed=4)
-        results = [run(cfg), run_ensemble(cfg, 3), *edge_case_results()]
+        # catalog-wide's shape, tiny: most of its 50 items never trade
+        wide = SimulationConfig(
+            n_agents=20, m_initial=40, rounds=7, seed=1,
+            topology=TopologySpec(kind="small_world", k=6, p=0.1),
+            params=MarketParams(gamma=0.6, beta=5.0, intro_period=3, intro_batch=5,
+                                intro_ads=(0.9, 0.5, 0.2), catalog_ads=0.3,
+                                new_item_liking="uniform", min_utility=0.45,
+                                utility_social_blend="literal_consumption"))
+        results = [run(cfg), run_ensemble(cfg, 3), *edge_case_results(), run(wide)]
         for obj in results:
-            block = _peak_block(obj)
+            block = _Columns(*peak_table(obj))
             assert block.plain  # written through the per-item template
             assert _json_dumps(block) == reference_dumps(peak_block_reference(obj))
         assert len(results[0].item_ids) > 6  # introductions happened
+        assert len(results[-1].item_ids) == 50
+        assert (results[-1].final_shares == 0.0).sum() > 40
         trace = edge_case_results()[0]
-        block = json.loads(_json_dumps(_peak_block(trace)))
+        block = json.loads(_json_dumps(_Columns(*peak_table(trace))))
         assert sorted(block) == ["0", "1", "2", "6", "8"]
         assert block["0"]["peak_share_round"] == 1 and block["0"]["peak_rate_round"] == 1
         assert block["1"]["peak_rate_round"] == 3
@@ -1140,6 +1161,30 @@ class TestExitCodes:
             assert main(["run", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err.startswith("fashsim: error: %s:" % key)
+
+    def test_manifest_integers_may_be_whole_floats(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"config": {"agents": 100.0}}', encoding="utf-8")
+        agents = parse_config(str(path)).config.n_agents
+        assert agents == 100 and type(agents) is int
+        for value, got in (("100.5", "100.5"), ("true", "True")):
+            path.write_text('{"config": {"agents": %s}}' % value, encoding="utf-8")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == (
+                "fashsim: error: agents: expected an integer (got %s)\n" % got)
+
+    def test_malformed_manifests_are_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        for text, message in (
+                ('{"config": {"agents": 5}', "config: %s is not valid JSON (" % path),
+                ('{"tool": "fashsim"}', "config: %s has no 'config' object\n" % path),
+                ('{"config": [5]}', "config: %s has no 'config' object\n" % path),
+                ('{"config": {"agents": 5, "fancyness": 3}}',
+                 "config: unknown key 'fancyness' in %s\n" % path)):
+            path.write_text(text, encoding="utf-8")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith("fashsim: error: " + message)
+        assert not (tmp_path / "o").exists()
 
     def test_boolean_numbers_are_exit_1(self, tmp_path, capsys):
         for text, key in (('{"config": {"gamma": true}}', "gamma"),

@@ -373,6 +373,14 @@ class TestStep:
         assert events.tolist() == [[0, 0]]
         assert len(step(state)) == 0  # 0.2 stays below the floor forever
 
+    def test_a_market_with_no_items_only_counts_the_round(self):
+        graph = SocialGraph.from_adjacency({0: [1], 1: [0]})
+        state = MarketState(MarketParams(), graph, "fashion", liking=np.zeros((2, 0)),
+                            tolerance=np.full(2, 0.5), advertisement=np.zeros(0))
+        events = step(state)
+        assert events.shape == (0, 2) and events.dtype == np.int64
+        assert state.round == 1
+
     def test_round_counter_advances_even_with_no_events(self):
         state = two_agent_market()
         for want in (1, 2, 3, 4):
@@ -1093,6 +1101,17 @@ class TestIntroductions:
         with pytest.raises(ValueError):
             introduce_items(state)
 
+    def test_uniform_likings_need_a_generator(self):
+        state = init_market(small_config(params=MarketParams(new_item_liking="uniform")))
+        with pytest.raises(ValueError, match="^rng: uniform new-item likings need a generator$"):
+            introduce_items(state)
+
+    def test_a_drifted_schedule_is_an_internal_error(self, monkeypatch):
+        """_simulate checks that the introductions made are the planned ones."""
+        monkeypatch.setattr(engine, "introduce_items", lambda market, rngs: ())
+        with pytest.raises(AssertionError, match="^introduction schedule drifted from plan$"):
+            run(small_config(rounds=3))
+
     def test_schedule_and_advertisement_cycle(self):
         cfg = small_config(rounds=7)  # intros when 2, 4 and 6 rounds are done
         trace = run(cfg)
@@ -1325,6 +1344,19 @@ class TestEnsembles:
         assert np.array_equal(
             ens.per_run_quality, np.stack([t.quality for t in traces])
         )
+
+    def test_a_diverged_registry_is_an_internal_error(self, monkeypatch):
+        """run_ensembles checks that every run of a config shares its
+        item registry; here a batch reports run 1 with other ads."""
+        run_batch = engine._run_batch
+
+        def diverging(batch):
+            shares, quality, ads, intro = run_batch(batch)
+            return shares, quality, ads + np.arange(len(ads))[:, None], intro
+        monkeypatch.setattr(engine, "_run_batch", diverging)
+        with pytest.raises(AssertionError,
+                           match="^item registry diverged between ensemble runs$"):
+            run_ensemble(small_config(), runs=2)
 
     def test_worker_count_never_changes_results(self):
         cfg = small_config(seed=6)

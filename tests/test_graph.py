@@ -257,6 +257,14 @@ class TestSocialGraph:
         with pytest.raises(ValueError):
             SocialGraph.from_adjacency({0: [5], 1: [0]})  # out of range
 
+    def test_rejects_an_empty_graph_and_a_malformed_index(self):
+        with pytest.raises(ValueError, match=r"^n: graph needs at least one vertex \(got 0\)$"):
+            SocialGraph(0, [0], [])
+        for offsets, targets in (([0, 1, 2], [1, 0]), ([1, 1, 2, 2], [1, 0]),
+                                 ([0, 1, 2, 3], [1, 0])):
+            with pytest.raises(ValueError, match=r"^offsets: malformed CSR index$"):
+                SocialGraph(3, offsets, targets)
+
     def test_rejects_decreasing_offsets(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             SocialGraph(3, [0, 2, 1, 2], [1, 0])
@@ -291,6 +299,11 @@ class TestSocialGraph:
         a, b = build_ring(8, 2), build_ring(8, 2)
         assert a == b and a != build_ring(8, 4)
         assert neighbors(a, 3) == a.neighbors(3) == {2, 4}
+        assert a.__eq__("a ring") is NotImplemented
+        assert a != "a ring" and not a == 8
+
+    def test_repr_names_size_and_edges(self):
+        assert repr(build_ring(8, 4)) == "SocialGraph(n=8, edges=16)"
 
     def test_equal_graphs_hash_equal(self):
         for a, b in ((build_ring(6, 2), build_ring(6, 2)),

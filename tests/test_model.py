@@ -390,6 +390,8 @@ class TestStateContainers:
                 MarketState(MarketParams(), graph, "fashion", **kwargs)
         with pytest.raises(ValueError):
             MarketState(MarketParams(), graph, "neither", **ok)
+        with pytest.raises(ValueError, match=r"^liking: expected a 2-d \(agents x items\) array$"):
+            MarketState(MarketParams(), graph, "fashion", **dict(ok, liking=np.full(4, 0.5)))
 
     @pytest.mark.parametrize("field", ["liking", "tolerance", "advertisement"])
     def test_nan_is_out_of_range(self, field):
